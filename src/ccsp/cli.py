@@ -37,6 +37,7 @@ from .operational import (
 )
 from .parser import ParseError, parse_compensable, parse_standard
 from .terms import (
+    by_sort_key,
     is_event_name,
     pair_tokens,
     pretty_print,
@@ -62,12 +63,12 @@ def _split_alphabet(text: str) -> tuple[str, ...]:
 
 def _set_tokens(traces, kind: str) -> list:
     if kind == "std":
-        return [trace_tokens(t) for t in sorted(traces)]
-    return [pair_tokens(p) for p in sorted(traces)]
+        return [trace_tokens(t) for t in sorted(traces, key=by_sort_key)]
+    return [pair_tokens(p) for p in sorted(traces, key=by_sort_key)]
 
 
 def _print_set(traces) -> None:
-    for t in sorted(traces):
+    for t in sorted(traces, key=by_sort_key):
         print(t)
 
 
@@ -274,9 +275,9 @@ def _cmd_prop(args) -> int:
         print(f"{marker} {case.index:04d} {case.kind} {pretty_print(case.term)}")
         if not ok:
             failed = True
-            for t in sorted(case.verdict.only_operational):
+            for t in sorted(case.verdict.only_operational, key=by_sort_key):
                 print(f"  only operational: {t}")
-            for t in sorted(case.verdict.only_denotational):
+            for t in sorted(case.verdict.only_denotational, key=by_sort_key):
                 print(f"  only denotational: {t}")
         if not case.healthy:
             failed = True
@@ -341,9 +342,9 @@ def _cmd_enumerate(args) -> int:
         else:
             mismatches += 1
             print(f"MISMATCH {pretty_print(term)}")
-            for t in sorted(verdict.only_operational):
+            for t in sorted(verdict.only_operational, key=by_sort_key):
                 print(f"  only operational: {t}")
-            for t in sorted(verdict.only_denotational):
+            for t in sorted(verdict.only_denotational, key=by_sort_key):
                 print(f"  only denotational: {t}")
         if not check_healthiness(term):
             unhealthy += 1

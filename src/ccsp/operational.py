@@ -1,9 +1,12 @@
 """Small-step operational semantics and derived-trace extraction.
 
-Transitions are labelled either by a normal event or by a terminal.  A
-terminal step finishes a standard process (successor is the null process)
-and finishes the forward behaviour of a compensable process (successor is
-the banked compensation, a standard term).
+A step is a plain ``(label, successor)`` tuple whose label is either the
+event name (a `str`) or a `Terminal`.  A terminal step finishes a standard
+process (successor is the null process) and finishes the forward behaviour
+of a compensable process (successor is the banked compensation, a standard
+term).  The step functions return each step once, in no particular order;
+`build_lts`, whose edges users see, is the one place that orders steps
+canonically.
 
 Lifting single steps over event sequences gives runs; the derived traces
 of a term are the labels of its maximal runs.  Both are computed by
@@ -49,37 +52,14 @@ from .terms import (
 
 DEFAULT_STATE_CAP = 100_000
 
+#: A transition label: the event name, or the terminal for a terminal step.
+Label = Union[Event, Terminal]
+#: A single step: ``(label, successor)``.
+Step = tuple[Label, Union[StandardTerm, CompensableTerm]]
 
-@dataclass(frozen=True)
-class Normal:
-    """Transition label for an observable event."""
-
-    event: Event
-
-
-@dataclass(frozen=True)
-class Term:
-    """Transition label for a terminal event; always the last step of a run."""
-
-    terminal: Terminal
-
-
-TransitionLabel = Union[Normal, Term]
-
-
-@dataclass(frozen=True)
-class StandardStep:
-    label: TransitionLabel
-    successor: StandardTerm
-
-
-@dataclass(frozen=True)
-class CompensableStep:
-    """A step of a compensable term.  The successor is compensable for a
-    normal step and the banked compensation (standard) for a terminal one."""
-
-    label: TransitionLabel
-    successor: CompensableTerm | StandardTerm
+_TICK = Terminal.TICK
+_THROW = Terminal.THROW
+_YIELD = Terminal.YIELD
 
 
 class StateCapExceeded(RuntimeError):
@@ -90,163 +70,149 @@ class StateCapExceeded(RuntimeError):
         self.cap = cap
 
 
-def _label_key(label: TransitionLabel):
-    if isinstance(label, Term):
-        return (0, label.terminal.value, "")
-    return (1, 0, label.event)
+_STEPS_STD: dict[StandardTerm, tuple[Step, ...]] = {}
+_STEPS_COMP: dict[CompensableTerm, tuple[Step, ...]] = {}
 
 
-def _step_key(step: StandardStep | CompensableStep):
-    return (*_label_key(step.label), pretty_print(step.successor))
-
-
-_STEPS_STD: dict[StandardTerm, tuple[StandardStep, ...]] = {}
-_STEPS_COMP: dict[CompensableTerm, tuple[CompensableStep, ...]] = {}
-
-
-def step_standard(term: StandardTerm) -> tuple[StandardStep, ...]:
-    """All single steps of a standard term, in canonical order
-    (terminals first by terminal order, then events alphabetically, then
-    successor rendering)."""
+def step_standard(term: StandardTerm) -> tuple[Step, ...]:
+    """All single steps of a standard term, each a ``(label, successor)``
+    pair, without duplicates and in no particular order (`build_lts` is
+    the one place that orders steps canonically)."""
     hit = _STEPS_STD.get(term)
     if hit is not None:
         return hit
-    out: set[StandardStep] = set()
+    # An insertion-ordered dict dedupes steps reached by several rules.
+    out: dict[Step, None] = {}
     match term:
         case Atom(e):
-            out.add(StandardStep(Normal(e), SKIP))
+            out[e, SKIP] = None
         case Skip():
-            out.add(StandardStep(Term(Terminal.TICK), NULL))
+            out[_TICK, NULL] = None
         case Throw():
-            out.add(StandardStep(Term(Terminal.THROW), NULL))
+            out[_THROW, NULL] = None
         case Yield():
-            out.add(StandardStep(Term(Terminal.YIELD), NULL))
-            out.add(StandardStep(Term(Terminal.TICK), NULL))
+            out[_YIELD, NULL] = None
+            out[_TICK, NULL] = None
         case Seq(l, r):
-            for s in step_standard(l):
-                if isinstance(s.label, Normal):
-                    out.add(StandardStep(s.label, Seq(s.successor, r)))
-                elif s.label.terminal is Terminal.TICK:
+            for label, succ in step_standard(l):
+                if isinstance(label, str):
+                    out[label, Seq(succ, r)] = None
+                elif label is _TICK:
                     # The first process is done; one step of the second
                     # happens in the same transition, dropping the Seq node.
-                    out.update(step_standard(r))
+                    out.update(dict.fromkeys(step_standard(r)))
                 else:
-                    out.add(StandardStep(s.label, NULL))
+                    out[label, NULL] = None
         case Choice(l, r):
-            out.update(step_standard(l))
-            out.update(step_standard(r))
+            out.update(dict.fromkeys(step_standard(l)))
+            out.update(dict.fromkeys(step_standard(r)))
         case Par(l, r):
             lsteps = step_standard(l)
             rsteps = step_standard(r)
-            for s in lsteps:
-                if isinstance(s.label, Normal):
-                    out.add(StandardStep(s.label, Par(s.successor, r)))
-            for s in rsteps:
-                if isinstance(s.label, Normal):
-                    out.add(StandardStep(s.label, Par(l, s.successor)))
+            for label, succ in lsteps:
+                if isinstance(label, str):
+                    out[label, Par(succ, r)] = None
+            for label, succ in rsteps:
+                if isinstance(label, str):
+                    out[label, Par(l, succ)] = None
             # Termination is synchronised: both sides finish at once and
             # the terminals join.
-            for sl in lsteps:
-                if isinstance(sl.label, Term):
-                    for sr in rsteps:
-                        if isinstance(sr.label, Term):
-                            joined = sl.label.terminal.join(sr.label.terminal)
-                            out.add(StandardStep(Term(joined), NULL))
+            for ll, _ in lsteps:
+                if not isinstance(ll, str):
+                    for rl, _ in rsteps:
+                        if not isinstance(rl, str):
+                            out[ll.join(rl), NULL] = None
         case Interrupt(l, r):
-            for s in step_standard(l):
-                if isinstance(s.label, Normal):
-                    out.add(StandardStep(s.label, Interrupt(s.successor, r)))
-                elif s.label.terminal is Terminal.THROW:
+            for label, succ in step_standard(l):
+                if isinstance(label, str):
+                    out[label, Interrupt(succ, r)] = None
+                elif label is _THROW:
                     # Control passes to the handler on a throw.
-                    out.update(step_standard(r))
+                    out.update(dict.fromkeys(step_standard(r)))
                 else:
-                    out.add(StandardStep(s.label, NULL))
+                    out[label, NULL] = None
         case Block(body):
-            for s in step_compensable(body):
-                if isinstance(s.label, Normal):
-                    out.add(StandardStep(s.label, Block(s.successor)))
-                elif s.label.terminal is Terminal.TICK:
+            for label, succ in step_compensable(body):
+                if isinstance(label, str):
+                    out[label, Block(succ)] = None
+                elif label is _TICK:
                     # Successful block: discard the banked compensation.
-                    out.add(StandardStep(Term(Terminal.TICK), NULL))
-                elif s.label.terminal is Terminal.THROW:
+                    out[_TICK, NULL] = None
+                elif label is _THROW:
                     # The block dissolves and the compensation starts
                     # running; the interrupt itself is not observable.
-                    out.update(step_standard(s.successor))
+                    out.update(dict.fromkeys(step_standard(succ)))
                 # A yielding forward run has no transition out of a block.
         case Null():
             raise ValueError("the null process has no transitions")
         case _:
             raise TypeError(f"not a standard term: {term!r}")
     w = term_weight(term)
-    assert all(term_weight(s.successor) < w for s in out), "step must shrink the term"
-    steps = tuple(sorted(out, key=_step_key))
+    assert all(term_weight(succ) < w for _, succ in out), "step must shrink the term"
+    steps = tuple(out)
     _STEPS_STD[term] = steps
     return steps
 
 
-def step_compensable(term: CompensableTerm) -> tuple[CompensableStep, ...]:
-    """All single steps of a compensable term, canonically ordered."""
+def step_compensable(term: CompensableTerm) -> tuple[Step, ...]:
+    """All single steps of a compensable term, as `step_standard` gives
+    them.  The successor is compensable after an event and the banked
+    compensation (a standard term) after a terminal."""
     hit = _STEPS_COMP.get(term)
     if hit is not None:
         return hit
-    out: set[CompensableStep] = set()
+    out: dict[Step, None] = {}
     match term:
         case Pair(f, c):
-            for s in step_standard(f):
-                if isinstance(s.label, Normal):
-                    out.add(CompensableStep(s.label, Pair(s.successor, c)))
-                elif s.label.terminal is Terminal.TICK:
-                    out.add(CompensableStep(s.label, c))
+            for label, succ in step_standard(f):
+                if isinstance(label, str):
+                    out[label, Pair(succ, c)] = None
+                elif label is _TICK:
+                    out[label, c] = None
                 else:
                     # Unsuccessful forward behaviour banks no compensation.
-                    out.add(CompensableStep(s.label, SKIP))
+                    out[label, SKIP] = None
         case CSeq(l, r):
-            for s in step_compensable(l):
-                if isinstance(s.label, Normal):
-                    out.add(CompensableStep(s.label, CSeq(s.successor, r)))
-                elif s.label.terminal is Terminal.TICK:
-                    banked = s.successor
-                    for t in step_compensable(r):
-                        if isinstance(t.label, Normal):
-                            out.add(CompensableStep(t.label, Aux(t.successor, banked)))
+            for label, succ in step_compensable(l):
+                if isinstance(label, str):
+                    out[label, CSeq(succ, r)] = None
+                elif label is _TICK:
+                    for rlabel, rsucc in step_compensable(r):
+                        if isinstance(rlabel, str):
+                            out[rlabel, Aux(rsucc, succ)] = None
                         else:
                             # Compensations accumulate in reverse order.
-                            out.add(CompensableStep(t.label, Seq(t.successor, banked)))
+                            out[rlabel, Seq(rsucc, succ)] = None
                 else:
-                    out.add(CompensableStep(s.label, s.successor))
+                    out[label, succ] = None
         case CChoice(l, r):
-            out.update(step_compensable(l))
-            out.update(step_compensable(r))
+            out.update(dict.fromkeys(step_compensable(l)))
+            out.update(dict.fromkeys(step_compensable(r)))
         case CPar(l, r):
             lsteps = step_compensable(l)
             rsteps = step_compensable(r)
-            for s in lsteps:
-                if isinstance(s.label, Normal):
-                    out.add(CompensableStep(s.label, CPar(s.successor, r)))
-            for s in rsteps:
-                if isinstance(s.label, Normal):
-                    out.add(CompensableStep(s.label, CPar(l, s.successor)))
-            for sl in lsteps:
-                if isinstance(sl.label, Term):
-                    for sr in rsteps:
-                        if isinstance(sr.label, Term):
-                            joined = sl.label.terminal.join(sr.label.terminal)
-                            out.add(
-                                CompensableStep(
-                                    Term(joined), Par(sl.successor, sr.successor)
-                                )
-                            )
+            for label, succ in lsteps:
+                if isinstance(label, str):
+                    out[label, CPar(succ, r)] = None
+            for label, succ in rsteps:
+                if isinstance(label, str):
+                    out[label, CPar(l, succ)] = None
+            for ll, lsucc in lsteps:
+                if not isinstance(ll, str):
+                    for rl, rsucc in rsteps:
+                        if not isinstance(rl, str):
+                            out[ll.join(rl), Par(lsucc, rsucc)] = None
         case Aux(rest, stored):
-            for s in step_compensable(rest):
-                if isinstance(s.label, Normal):
-                    out.add(CompensableStep(s.label, Aux(s.successor, stored)))
+            for label, succ in step_compensable(rest):
+                if isinstance(label, str):
+                    out[label, Aux(succ, stored)] = None
                 else:
-                    out.add(CompensableStep(s.label, Seq(s.successor, stored)))
+                    out[label, Seq(succ, stored)] = None
         case _:
             raise TypeError(f"not a compensable term: {term!r}")
     w = term_weight(term)
-    assert all(term_weight(s.successor) < w for s in out), "step must shrink the term"
-    steps = tuple(sorted(out, key=_step_key))
+    assert all(term_weight(succ) < w for _, succ in out), "step must shrink the term"
+    steps = tuple(out)
     _STEPS_COMP[term] = steps
     return steps
 
@@ -266,14 +232,9 @@ def run_lifted(term: StandardTerm, t: Trace) -> bool:
 def _runs(term: StandardTerm, t: Trace, i: int) -> bool:
     steps = step_standard(term)
     if i == len(t.events):
-        return any(
-            isinstance(s.label, Term) and s.label.terminal is t.terminal for s in steps
-        )
+        return any(label is t.terminal for label, _ in steps)
     event = t.events[i]
-    return any(
-        isinstance(s.label, Normal) and s.label.event == event and _runs(s.successor, t, i + 1)
-        for s in steps
-    )
+    return any(label == event and _runs(succ, t, i + 1) for label, succ in steps)
 
 
 class _Budget:
@@ -308,13 +269,12 @@ def _dt_std(term: StandardTerm, budget: _Budget) -> frozenset[Trace]:
         return hit
     budget.spend()
     out: set[Trace] = set()
-    for s in step_standard(term):
-        if isinstance(s.label, Term):
-            out.add(Trace((), s.label.terminal))
+    for label, succ in step_standard(term):
+        if isinstance(label, str):
+            for t in _dt_std(succ, budget):
+                out.add(Trace((label,) + t.events, t.terminal))
         else:
-            event = s.label.event
-            for t in _dt_std(s.successor, budget):
-                out.add(Trace((event,) + t.events, t.terminal))
+            out.add(Trace((), label))
     result = frozenset(out)
     _DT_STD[term] = result
     return result
@@ -334,13 +294,12 @@ def _forward(term: CompensableTerm, budget: _Budget) -> frozenset[tuple[Trace, S
         return hit
     budget.spend()
     out: set[tuple[Trace, StandardTerm]] = set()
-    for s in step_compensable(term):
-        if isinstance(s.label, Term):
-            out.add((Trace((), s.label.terminal), s.successor))
+    for label, succ in step_compensable(term):
+        if isinstance(label, str):
+            for t, banked in _forward(succ, budget):
+                out.add((Trace((label,) + t.events, t.terminal), banked))
         else:
-            event = s.label.event
-            for t, banked in _forward(s.successor, budget):
-                out.add((Trace((event,) + t.events, t.terminal), banked))
+            out.add((Trace((), label), succ))
     result = frozenset(out)
     _FORWARD[term] = result
     return result
@@ -363,15 +322,17 @@ def derived_traces_compensable(
 # ---------------------------------------------------------------------------
 
 LtsNode = Union[StandardTerm, CompensableTerm]
-LtsEdge = tuple[LtsNode, TransitionLabel, LtsNode]
+LtsEdge = tuple[LtsNode, Label, LtsNode]
 
 
 @dataclass(frozen=True)
 class Lts:
     """The reachable transition graph of a term.
 
-    Nodes appear in breadth-first discovery order (root first) and edges in
-    source order, so identical terms always produce identical graphs.
+    Nodes appear in breadth-first discovery order (root first) and edges
+    ``(source, label, target)`` in source order, each node's out-edges in
+    the canonical step order of `build_lts`, so identical terms always
+    produce identical graphs.
     """
 
     root: LtsNode
@@ -385,7 +346,7 @@ class Lts:
         for i, node in enumerate(self.nodes):
             lines.append(f'  n{i} [label="{_dot_escape(pretty_print(node))}"];')
         for src, label, dst in self.edges:
-            text = label.event if isinstance(label, Normal) else label.terminal.glyph
+            text = label if isinstance(label, str) else label.glyph
             lines.append(f'  n{index[src]} -> n{index[dst]} [label="{_dot_escape(text)}"];')
         lines.append("}")
         return "\n".join(lines)
@@ -395,18 +356,26 @@ def _dot_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def _steps_any(node: LtsNode):
+def _step_key(step: Step):
+    label, succ = step
+    if isinstance(label, str):
+        return (1, 0, label, pretty_print(succ))
+    return (0, label.value, "", pretty_print(succ))
+
+
+def _canonical_steps(node: LtsNode) -> list[Step]:
     if isinstance(node, Null):
-        return ()
-    if is_compensable(node):
-        return step_compensable(node)
-    return step_standard(node)
+        return []
+    steps = step_compensable(node) if is_compensable(node) else step_standard(node)
+    return sorted(steps, key=_step_key)
 
 
 def build_lts(term: LtsNode, state_cap: int = DEFAULT_STATE_CAP) -> Lts:
     """Explore the full reachable graph under the step functions.
 
-    Terminal steps of compensable nodes lead into the standard graph of the
+    This is the one place where steps are put in canonical order: terminals
+    first by terminal order, then events alphabetically, then successors
+    by their rendering.  Terminal steps of compensable nodes lead into the standard graph of the
     banked compensation, so the graph of a compensable term shows the
     compensation runs as well.
     """
@@ -418,15 +387,14 @@ def build_lts(term: LtsNode, state_cap: int = DEFAULT_STATE_CAP) -> Lts:
     queue = deque([term])
     while queue:
         node = queue.popleft()
-        for s in _steps_any(node):
-            succ = s.successor
+        for label, succ in _canonical_steps(node):
             if succ not in seen:
                 if len(seen) >= state_cap:
                     raise StateCapExceeded(state_cap)
                 seen.add(succ)
                 nodes.append(succ)
                 queue.append(succ)
-            edges.append((node, s.label, succ))
+            edges.append((node, label, succ))
     return Lts(root=term, nodes=tuple(nodes), edges=tuple(edges))
 
 

@@ -17,6 +17,9 @@ Binding strength, tightest first: `%`, `;`, `|>`, `[]`, `||`.  `%` is
 non-associative and its operands are standard atoms, so compound operands
 must be parenthesized.  Derived constants desugar at parse time: SKIPP,
 YIELDD and THROWW become compensation pairs over SKIP.
+
+Brackets, `(` and `[` together, nest at most `MAX_NESTING` deep; deeper
+input raises `ParseError` rather than exhausting the interpreter's stack.
 """
 from __future__ import annotations
 
@@ -43,6 +46,11 @@ from .terms import (
 )
 
 _OPERATORS = ("||", "|>", "[]", ";", "%", "(", ")", "[", "]")
+
+#: Deepest accepted nesting of `(` and `[`.  Each level costs the parser
+#: about six stack frames, so this keeps far below Python's default
+#: recursion limit of 1000.
+MAX_NESTING = 100
 
 
 @dataclass
@@ -99,6 +107,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.index = 0
+        self.depth = 0
 
     # -- token plumbing ----------------------------------------------------
 
@@ -118,6 +127,17 @@ class _Parser:
         if not self.at_op(op):
             self.fail(f"'{op}'")
         self.advance()
+
+    def open_bracket(self) -> None:
+        """Consume an opening bracket, enforcing `MAX_NESTING`."""
+        if self.depth == MAX_NESTING:
+            self.fail(f"at most {MAX_NESTING} nested brackets")
+        self.advance()
+        self.depth += 1
+
+    def close_bracket(self, op: str) -> None:
+        self.expect_op(op)
+        self.depth -= 1
 
     def fail(self, expected: str) -> None:
         tok = self.peek()
@@ -171,14 +191,14 @@ class _Parser:
                 return YIELD
             self.fail("a standard term")
         if self.at_op("("):
-            self.advance()
+            self.open_bracket()
             inner = self.std()
-            self.expect_op(")")
+            self.close_bracket(")")
             return inner
         if self.at_op("["):
-            self.advance()
+            self.open_bracket()
             body = self.comp()
-            self.expect_op("]")
+            self.close_bracket("]")
             return Block(body)
         self.fail("a standard term")
         raise AssertionError("unreachable")
@@ -214,14 +234,14 @@ class _Parser:
         if self.at_op("("):
             # Both `(a ; b) % c` and `(a % b)` start here; try the pair
             # reading first and fall back to a parenthesized compensable.
-            mark = self.index
+            mark = self.index, self.depth
             try:
                 return self.pair_of_atoms()
             except ParseError:
-                self.index = mark
-            self.advance()
+                self.index, self.depth = mark
+            self.open_bracket()
             inner = self.comp()
-            self.expect_op(")")
+            self.close_bracket(")")
             return inner
         return self.pair_of_atoms()
 

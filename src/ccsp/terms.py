@@ -6,16 +6,17 @@ compensation behaviour while it runs, to be replayed if the surrounding
 transaction aborts.  Observations are finite traces: a sequence of normal
 events capped by exactly one terminal marker (success, throw or yield).
 
-Terms are immutable and hash-consed: structurally equal constructions
-yield the same instance, so equality is identity, hashes are cached, and
-the memo tables driving exhaustive exploration stay cheap.  Construction
-is the only supported way to obtain a term.
+Terms are immutable and hash-consed (interned): structurally equal
+constructions yield the same instance, so equality and hashing are both by
+identity, and the memo tables driving exhaustive exploration stay cheap.
+Construction is the only supported way to obtain a term.
 """
 from __future__ import annotations
 
 import re
 import weakref
 from enum import Enum
+from operator import attrgetter
 from typing import Iterable, Iterator, Union
 
 
@@ -31,6 +32,10 @@ class Terminal(Enum):
     TICK = 0
     YIELD = 1
     THROW = 2
+
+    # Members are singletons, so identity hashing (in C) replaces Enum's
+    # Python-level hash of the member name.
+    __hash__ = object.__hash__
 
     @property
     def glyph(self) -> str:
@@ -80,7 +85,7 @@ class _Node:
     """Base for interned term nodes; subclasses declare their fields in
     ``__slots__`` and are finished off by the `_node` decorator."""
 
-    __slots__ = ("_hash", "_weight", "_pp", "__weakref__")
+    __slots__ = ("_weight", "_ops", "_pp", "__weakref__")
     _fields: tuple[str, ...] = ()
     _pool: "weakref.WeakValueDictionary"
 
@@ -103,7 +108,6 @@ class _Node:
         inst = super().__new__(cls)
         for name, value in zip(cls._fields, args):
             object.__setattr__(inst, name, value)
-        object.__setattr__(inst, "_hash", hash((cls, args)))
         inst._validate()
         cls._pool[args] = inst
         return inst
@@ -113,9 +117,6 @@ class _Node:
 
     def __setattr__(self, name, value):
         raise AttributeError("process terms are immutable")
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         inner = ", ".join(repr(getattr(self, n)) for n in self._fields)
@@ -257,31 +258,14 @@ def subterms(term: StandardTerm | CompensableTerm) -> Iterator[StandardTerm | Co
     stack = [term]
     while stack:
         t = stack.pop()
+        if not isinstance(t, _Node):
+            raise TypeError(f"not a process term: {t!r}")
         yield t
-        match t:
-            case Atom() | Skip() | Throw() | Yield() | Null():
-                pass
-            case Seq(l, r) | Choice(l, r) | Par(l, r) | Interrupt(l, r):
-                stack.append(r)
-                stack.append(l)
-            case Block(body):
-                stack.append(body)
-            case Pair(f, c):
-                stack.append(c)
-                stack.append(f)
-            case CSeq(l, r) | CChoice(l, r) | CPar(l, r):
-                stack.append(r)
-                stack.append(l)
-            case Aux(rest, stored):
-                stack.append(stored)
-                stack.append(rest)
-            case _:
-                raise TypeError(f"not a process term: {t!r}")
-
-
-def alphabet_of(term: StandardTerm | CompensableTerm) -> frozenset[Event]:
-    """The set of event names occurring in `term`."""
-    return frozenset(t.event for t in subterms(term) if isinstance(t, Atom))
+        # Push the operands right to left so the leftmost comes out first.
+        for name in reversed(t._fields):
+            child = getattr(t, name)
+            if isinstance(child, _Node):
+                stack.append(child)
 
 
 def term_op_count(term: StandardTerm | CompensableTerm) -> int:
@@ -289,12 +273,31 @@ def term_op_count(term: StandardTerm | CompensableTerm) -> int:
 
     Seq/Choice/Par/Interrupt/Block and CSeq/CChoice/CPar each count one;
     leaves and compensation pairs are free (a pair is the minimal way to
-    form a compensable term, not an extra operator).
+    form a compensable term, not an extra operator).  Cached per node.
     """
-    n = 0
-    for t in subterms(term):
-        if isinstance(t, (Seq, Choice, Par, Interrupt, Block, CSeq, CChoice, CPar, Aux)):
-            n += 1
+    # The recursion runs through `_op_count`, so a wrapped `term_op_count`
+    # (as in a traced benchmark run) sees one call per query.
+    return _op_count(term)
+
+
+def _op_count(term: StandardTerm | CompensableTerm) -> int:
+    try:
+        return term._ops
+    except AttributeError:
+        pass
+    match term:
+        case Atom() | Skip() | Throw() | Yield() | Null():
+            n = 0
+        case Block(body):
+            n = 1 + _op_count(body)
+        case Pair(f, c):
+            n = _op_count(f) + _op_count(c)
+        case (Seq(l, r) | Choice(l, r) | Par(l, r) | Interrupt(l, r)
+              | CSeq(l, r) | CChoice(l, r) | CPar(l, r) | Aux(l, r)):
+            n = 1 + _op_count(l) + _op_count(r)
+        case _:
+            raise TypeError(f"not a process term: {term!r}")
+    object.__setattr__(term, "_ops", n)
     return n
 
 
@@ -545,17 +548,14 @@ def trace(*parts: str) -> Trace:
     return Trace(tuple(parts[:-1]), terminal_from_glyph(parts[-1]))
 
 
-def sorted_traces(traces: Iterable[Trace]) -> list[Trace]:
-    return sorted(traces)
-
-
-def sorted_pairs(pairs: Iterable[TracePair]) -> list[TracePair]:
-    return sorted(pairs)
+#: Sort key for canonical order of traces and trace pairs; sorting with it
+#: builds each member's key once, where `__lt__` builds two per comparison.
+by_sort_key = attrgetter("sort_key")
 
 
 def format_trace_set(traces: Iterable[Trace | TracePair]) -> list[str]:
     """Canonically ordered text rendering, one member per line."""
-    return [str(t) for t in sorted(traces)]
+    return [str(t) for t in sorted(traces, key=by_sort_key)]
 
 
 def trace_tokens(t: Trace) -> list[str]:

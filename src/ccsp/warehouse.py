@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .denotational import traces_standard
 from .operational import derived_traces_standard
 from .parser import parse_standard
-from .terms import StandardTerm, Terminal, Trace, sorted_traces
+from .terms import StandardTerm, Terminal, Trace, by_sort_key
 
 WAREHOUSE_TEXT = (
     "[ AcceptOrder % RestockOrder ;"
@@ -64,7 +64,7 @@ def warehouse_report() -> WarehouseReport:
     term = warehouse_term()
     derived = derived_traces_standard(term)
     denoted = traces_standard(term)
-    traces = tuple(sorted_traces(denoted))
+    traces = tuple(sorted(denoted, key=by_sort_key))
 
     checks = [
         (

@@ -1,6 +1,9 @@
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
 
 from ccsp.cli import run
 from ccsp.denotational import traces_compensable, traces_standard
@@ -25,6 +28,13 @@ def test_check_null_is_a_parse_error():
     code, _, err = invoke(["check", "0"])
     assert code == 2
     assert "parse error" in err
+
+
+def test_deep_nesting_exits_two():
+    code, out, err = invoke(["check", "(" * 196 + "a" + ")" * 196])
+    assert code == 2
+    assert out == ""
+    assert "parse error" in err and "nested brackets" in err
 
 
 def test_usage_error_exits_two():
@@ -143,3 +153,29 @@ def test_example_warehouse_passes():
     assert "traces (420):" in out
     assert out.count("pass:") == 5
     assert "FAIL" not in out
+
+
+def _goldens() -> list:
+    """One param per `=== command kind :: term` section: header, expected stdout."""
+    text = (Path(__file__).parent / "data" / "cli_golden.txt").read_text(encoding="utf-8")
+    sections = []
+    for line in text.splitlines(keepends=True):
+        if line.startswith("=== "):
+            sections.append([line[4:].rstrip("\n"), ""])
+        elif sections:
+            sections[-1][1] += line
+    return [pytest.param(header, out, id=header) for header, out in sections]
+
+
+@pytest.mark.parametrize("header,expected", _goldens())
+def test_lts_and_traces_output_is_pinned(header, expected):
+    # `lts` shows the canonical step order: terminals first, then events
+    # alphabetically, then successors by rendering.
+    command, rest = header.split(" ", 1)
+    kind, term = rest.split(" :: ", 1)
+    argv = [command, "--kind", kind, term]
+    if command == "traces":
+        argv += ["--semantics", "both"]
+    code, out, _ = invoke(argv)
+    assert code == 0
+    assert out == expected

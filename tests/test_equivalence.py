@@ -23,8 +23,11 @@ from ccsp.terms import (
     YIELD,
     Atom,
     Block,
+    CChoice,
     CPar,
     CSeq,
+    Choice,
+    Interrupt,
     Pair,
     Par,
     Seq,
@@ -186,6 +189,15 @@ def test_enumerate_respects_pair_operand_cap():
             if isinstance(sub, Pair):
                 assert term_op_count(sub.forward) == 0
                 assert term_op_count(sub.compensation) == 0
+
+
+@pytest.mark.parametrize("kind", ["standard", "compensable"])
+def test_cached_op_count_matches_fresh_count(kind):
+    operators = (Block, Seq, Choice, Par, Interrupt, CSeq, CChoice, CPar)
+    for term in enumerate_terms(2, ("a", "b"), kind):
+        fresh = sum(isinstance(sub, operators) for sub in ccsp.terms.subterms(term))
+        assert term_op_count(term) == fresh
+        assert term_op_count(term) == fresh  # served from the cache
 
 
 def test_enumerate_is_duplicate_free_and_valid():

@@ -3,12 +3,8 @@ from hypothesis import given, strategies as st
 
 from ccsp.equivalence import GenConfig, gen_term
 from ccsp.operational import (
-    CompensableStep,
     Lts,
-    Normal,
-    StandardStep,
     StateCapExceeded,
-    Term,
     build_lts,
     derived_forward,
     derived_traces_compensable,
@@ -40,21 +36,14 @@ A = Atom("a")
 B = Atom("b")
 
 
-def labels(steps):
-    return {s.label for s in steps}
-
-
 # -- single steps -----------------------------------------------------------
 
 
 def test_step_base_rules():
-    assert step_standard(A) == (StandardStep(Normal("a"), SKIP),)
-    assert step_standard(SKIP) == (StandardStep(Term(Terminal.TICK), NULL),)
-    assert step_standard(THROW) == (StandardStep(Term(Terminal.THROW), NULL),)
-    assert set(step_standard(YIELD)) == {
-        StandardStep(Term(Terminal.TICK), NULL),
-        StandardStep(Term(Terminal.YIELD), NULL),
-    }
+    assert step_standard(A) == (("a", SKIP),)
+    assert step_standard(SKIP) == ((Terminal.TICK, NULL),)
+    assert step_standard(THROW) == ((Terminal.THROW, NULL),)
+    assert set(step_standard(YIELD)) == {(Terminal.TICK, NULL), (Terminal.YIELD, NULL)}
 
 
 def test_step_null_rejected():
@@ -64,76 +53,68 @@ def test_step_null_rejected():
 
 def test_step_seq_terminal_composition():
     # first part succeeds, second throws: the composite throws
-    assert step_standard(Seq(SKIP, THROW)) == (StandardStep(Term(Terminal.THROW), NULL),)
+    assert step_standard(Seq(SKIP, THROW)) == ((Terminal.THROW, NULL),)
     # non-success propagates without starting the second part
-    assert step_standard(Seq(THROW, A)) == (StandardStep(Term(Terminal.THROW), NULL),)
+    assert step_standard(Seq(THROW, A)) == ((Terminal.THROW, NULL),)
 
 
 def test_step_seq_skips_into_second_process():
     # after SKIP's tick, one step of the second process fires in the same
     # transition and the Seq node dissolves
-    assert step_standard(Seq(SKIP, A)) == (StandardStep(Normal("a"), SKIP),)
+    assert step_standard(Seq(SKIP, A)) == (("a", SKIP),)
 
 
 def test_step_par_interleaves_without_lone_terminal():
     steps = step_standard(Par(A, THROW))
-    assert steps == (StandardStep(Normal("a"), Par(SKIP, THROW)),)
+    assert steps == (("a", Par(SKIP, THROW)),)
     # termination only happens jointly
-    assert not any(isinstance(s.label, Term) for s in steps)
+    assert not any(isinstance(label, Terminal) for label, _ in steps)
 
 
 def test_step_par_joint_termination_joins_terminals():
-    assert step_standard(Par(SKIP, THROW)) == (StandardStep(Term(Terminal.THROW), NULL),)
-    assert set(step_standard(Par(YIELD, YIELD))) == {
-        StandardStep(Term(Terminal.TICK), NULL),
-        StandardStep(Term(Terminal.YIELD), NULL),
-    }
+    assert step_standard(Par(SKIP, THROW)) == ((Terminal.THROW, NULL),)
+    assert set(step_standard(Par(YIELD, YIELD))) == {(Terminal.TICK, NULL), (Terminal.YIELD, NULL)}
 
 
 def test_step_block_absorbs_throw_and_runs_compensation():
     # the forward throw discards the pair's compensation, so the block
     # terminates successfully with nothing to replay
-    assert step_standard(Block(Pair(THROW, B))) == (
-        StandardStep(Term(Terminal.TICK), NULL),
-    )
+    assert step_standard(Block(Pair(THROW, B))) == ((Terminal.TICK, NULL),)
     # a banked compensation does run: [ a % b ; THROWW ] after the `a` step
     inner = Block(CSeq(Pair(SKIP, B), Pair(THROW, SKIP)))
-    assert step_standard(inner) == (StandardStep(Normal("b"), SKIP),)
+    assert step_standard(inner) == (("b", SKIP),)
 
 
 def test_step_block_prunes_yielding_forward_runs():
-    assert step_standard(Block(Pair(YIELD, SKIP))) == (
-        StandardStep(Term(Terminal.TICK), NULL),
-    )
+    assert step_standard(Block(Pair(YIELD, SKIP))) == ((Terminal.TICK, NULL),)
 
 
 def test_step_pair_banks_compensation_only_on_success():
-    assert step_compensable(Pair(SKIP, B)) == (CompensableStep(Term(Terminal.TICK), B),)
-    assert step_compensable(Pair(THROW, B)) == (
-        CompensableStep(Term(Terminal.THROW), SKIP),
-    )
+    assert step_compensable(Pair(SKIP, B)) == ((Terminal.TICK, B),)
+    assert step_compensable(Pair(THROW, B)) == ((Terminal.THROW, SKIP),)
 
 
 def test_step_aux_appends_banked_compensation():
     steps = step_compensable(Aux(Pair(SKIP, Atom("q")), Atom("p")))
-    assert steps == (CompensableStep(Term(Terminal.TICK), Seq(Atom("q"), Atom("p"))),)
+    assert steps == ((Terminal.TICK, Seq(Atom("q"), Atom("p"))),)
 
 
 def test_step_cseq_enters_aux_construct():
     steps = step_compensable(CSeq(Pair(SKIP, A), Pair(B, SKIP)))
-    assert steps == (CompensableStep(Normal("b"), Aux(Pair(SKIP, SKIP), A)),)
+    assert steps == (("b", Aux(Pair(SKIP, SKIP), A)),)
 
 
 def test_compensable_terminal_steps_yield_standard_terms():
     for term in (Pair(YIELD, A), CSeq(Pair(SKIP, A), Pair(THROW, B))):
-        for s in step_compensable(term):
-            if isinstance(s.label, Term):
-                assert is_standard(s.successor)
+        for label, succ in step_compensable(term):
+            if isinstance(label, Terminal):
+                assert is_standard(succ)
 
 
 def test_steps_are_canonically_ordered():
-    steps = step_standard(Par(B, A))
-    assert [s.label.event for s in steps] == ["a", "b"]
+    root = Par(B, A)
+    lts = build_lts(root)
+    assert [label for src, label, _ in lts.edges if src is root] == ["a", "b"]
 
 
 # -- lifted runs ------------------------------------------------------------
@@ -192,7 +173,7 @@ def test_every_run_of_derived_trace_set_is_lifted_run():
 def test_lts_of_skip():
     lts = build_lts(SKIP)
     assert lts.nodes == (SKIP, NULL)
-    assert lts.edges == ((SKIP, Term(Terminal.TICK), NULL),)
+    assert lts.edges == ((SKIP, Terminal.TICK, NULL),)
 
 
 def test_lts_interleaving_diamond():
@@ -202,13 +183,13 @@ def test_lts_interleaving_diamond():
     lts = build_lts(Par(A, B))
     assert len(lts.nodes) == 5
     assert len(lts.edges) == 5
-    terminal_edges = [e for e in lts.edges if isinstance(e[1], Term)]
-    assert terminal_edges == [(Par(SKIP, SKIP), Term(Terminal.TICK), NULL)]
+    terminal_edges = [e for e in lts.edges if isinstance(e[1], Terminal)]
+    assert terminal_edges == [(Par(SKIP, SKIP), Terminal.TICK, NULL)]
 
 
 def test_lts_block_absorbing_throw_has_only_tick_edge():
     lts = build_lts(Block(Pair(THROW, B)))
-    assert [e[1] for e in lts.edges] == [Term(Terminal.TICK)]
+    assert [e[1] for e in lts.edges] == [Terminal.TICK]
 
 
 def test_lts_compensable_root_continues_into_compensation():
@@ -247,11 +228,11 @@ _seeds = st.integers(0, 2**63 - 1)
 @given(_seeds)
 def test_standard_terminal_steps_end_in_null(seed):
     term = gen_term(GenConfig(seed=seed, max_depth=4, alphabet=("a", "b"), kind="standard"))
-    for s in step_standard(term):
-        if isinstance(s.label, Term):
-            assert isinstance(s.successor, Null)
+    for label, succ in step_standard(term):
+        if isinstance(label, Terminal):
+            assert isinstance(succ, Null)
         else:
-            assert not isinstance(s.successor, Null)
+            assert not isinstance(succ, Null)
 
 
 @given(_seeds)
@@ -259,9 +240,9 @@ def test_compensable_terminal_steps_bank_standard_compensation(seed):
     term = gen_term(
         GenConfig(seed=seed, max_depth=4, alphabet=("a", "b"), kind="compensable")
     )
-    for s in step_compensable(term):
-        if isinstance(s.label, Term):
-            assert is_standard(s.successor)
+    for label, succ in step_compensable(term):
+        if isinstance(label, Terminal):
+            assert is_standard(succ)
 
 
 @given(_seeds)

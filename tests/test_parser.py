@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ccsp.equivalence import GenConfig, gen_term
-from ccsp.parser import ParseError, parse_compensable, parse_standard
+from ccsp.parser import MAX_NESTING, ParseError, parse_compensable, parse_standard
 from ccsp.terms import (
     SKIP,
     THROW,
@@ -125,6 +125,31 @@ def test_trailing_garbage_rejected():
     with pytest.raises(ParseError) as exc:
         parse_standard("a b")
     assert exc.value.position == 2
+
+
+def test_nesting_limit_is_a_parse_error():
+    # 196 parentheses used to end in a RecursionError from the descent.
+    for depth in (MAX_NESTING + 1, 196):
+        with pytest.raises(ParseError) as exc:
+            parse_standard("(" * depth + "a" + ")" * depth)
+        assert exc.value.position == MAX_NESTING
+    assert parse_standard("(" * MAX_NESTING + "a" + ")" * MAX_NESTING) is A
+    wrapped = "a % b"
+    for _ in range(MAX_NESTING):
+        wrapped = f"({wrapped})"
+    assert parse_compensable(wrapped) is Pair(A, B)
+    with pytest.raises(ParseError):
+        parse_compensable(f"({wrapped})")
+
+
+def test_nesting_limit_counts_blocks_and_parentheses_together():
+    body = "a % b"
+    for _ in range(MAX_NESTING - 1):
+        body = f"[ {body} ] % SKIP"
+    nested = parse_standard(f"[ {body} ]")
+    assert pretty_print(nested) == f"[ {body} ]"
+    with pytest.raises(ParseError):
+        parse_standard(f"([ {body} ])")
 
 
 def test_whitespace_insensitive():
