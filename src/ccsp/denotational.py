@@ -44,7 +44,9 @@ from .terms import (
     is_compensable,
 )
 
-_TICK_TRACE = Trace((), Terminal.TICK)
+_TICK, _THROW, _YIELD = Terminal.TICK, Terminal.THROW, Terminal.YIELD
+
+_TICK_TRACE = Trace((), _TICK)
 
 
 def sync_terminals(left: Terminal, right: Terminal) -> frozenset[Terminal]:
@@ -59,14 +61,14 @@ def sync_terminals(left: Terminal, right: Terminal) -> frozenset[Terminal]:
 def seq_traces(p: Trace, q: Trace) -> Trace:
     """Sequential composition on traces: continue with `q` only after a
     successful `p`, otherwise the observation is just `p`."""
-    if p.terminal is Terminal.TICK:
+    if p.terminal is _TICK:
         return Trace(p.events + q.events, q.terminal)
     return p
 
 
 def interrupt_traces(p: Trace, q: Trace) -> Trace:
     """Interrupt handling on traces: `q` runs when `p` throws."""
-    if p.terminal is Terminal.THROW:
+    if p.terminal is _THROW:
         return Trace(p.events + q.events, q.terminal)
     return p
 
@@ -104,7 +106,7 @@ def par_traces(p: Trace, q: Trace) -> frozenset[Trace]:
 def pair_traces(p: Trace, q: Trace) -> TracePair:
     """Compensation pairing on traces: the compensation is installed only
     when the forward trace succeeds."""
-    if p.terminal is Terminal.TICK:
+    if p.terminal is _TICK:
         return TracePair(p, q)
     return TracePair(p, _TICK_TRACE)
 
@@ -116,9 +118,9 @@ def block_traces(p: Trace, compensation: Trace) -> frozenset[Trace]:
     on (hiding the interrupt), and a yielding forward trace contributes
     nothing.
     """
-    if p.terminal is Terminal.TICK:
+    if p.terminal is _TICK:
         return frozenset((p,))
-    if p.terminal is Terminal.THROW:
+    if p.terminal is _THROW:
         return frozenset((Trace(p.events + compensation.events, compensation.terminal),))
     return frozenset()
 
@@ -140,13 +142,13 @@ def traces_standard(term: StandardTerm) -> frozenset[Trace]:
         return hit
     match term:
         case Atom(e):
-            out = frozenset((Trace((e,), Terminal.TICK),))
+            out = frozenset((Trace((e,), _TICK),))
         case Skip():
-            out = frozenset((Trace((), Terminal.TICK),))
+            out = frozenset((Trace((), _TICK),))
         case Throw():
-            out = frozenset((Trace((), Terminal.THROW),))
+            out = frozenset((Trace((), _THROW),))
         case Yield():
-            out = frozenset((Trace((), Terminal.YIELD), Trace((), Terminal.TICK)))
+            out = frozenset((Trace((), _YIELD), Trace((), _TICK)))
         case Seq(l, r):
             out = frozenset(
                 seq_traces(p, q) for p in traces_standard(l) for q in traces_standard(r)
@@ -214,7 +216,7 @@ def _cseq_pairs(left: frozenset[TracePair], right: frozenset[TracePair]):
     # Compensations accumulate in reverse: the second process compensates
     # first, so its compensation trace leads.
     for lp in left:
-        if lp.forward.terminal is Terminal.TICK:
+        if lp.forward.terminal is _TICK:
             for rp in right:
                 yield TracePair(
                     seq_traces(lp.forward, rp.forward),
@@ -229,9 +231,9 @@ def check_healthiness(term: StandardTerm | CompensableTerm) -> bool:
     (forward trace, for compensable terms) ends in tick or throw."""
     if is_compensable(term):
         return any(
-            tp.forward.terminal is not Terminal.YIELD for tp in traces_compensable(term)
+            tp.forward.terminal is not _YIELD for tp in traces_compensable(term)
         )
-    return any(t.terminal is not Terminal.YIELD for t in traces_standard(term))
+    return any(t.terminal is not _YIELD for t in traces_standard(term))
 
 
 def clear_caches() -> None:

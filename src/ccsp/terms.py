@@ -9,7 +9,10 @@ events capped by exactly one terminal marker (success, throw or yield).
 Terms are immutable and hash-consed (interned): structurally equal
 constructions yield the same instance, so equality and hashing are both by
 identity, and the memo tables driving exhaustive exploration stay cheap.
-Construction is the only supported way to obtain a term.
+Construction is the only supported way to obtain a term.  Interning also
+sizes the term: its operator count and its weight are its class's share
+plus its operands' (already computed) sizes, so `term_op_count` and
+`term_weight` are attribute reads.
 """
 from __future__ import annotations
 
@@ -41,11 +44,12 @@ class Terminal(Enum):
     def glyph(self) -> str:
         return _GLYPHS[self]
 
+    # `_value_` is a plain attribute; the `value` property costs a call.
     def join(self, other: "Terminal") -> "Terminal":
-        return self if self.value >= other.value else other
+        return self if self._value_ >= other._value_ else other
 
     def __lt__(self, other: "Terminal") -> bool:
-        return self.value < other.value
+        return self._value_ < other._value_
 
     def __str__(self) -> str:
         return self.glyph
@@ -83,7 +87,8 @@ def terminal_from_glyph(glyph: str) -> Terminal:
 
 class _Node:
     """Base for interned term nodes; subclasses declare their fields in
-    ``__slots__`` and are finished off by the `_node` decorator."""
+    ``__slots__`` and are finished off by the `_node` decorator.  Every
+    field is an operand term, except `Atom`'s event name."""
 
     __slots__ = ("_weight", "_ops", "_pp", "__weakref__")
     _fields: tuple[str, ...] = ()
@@ -106,14 +111,21 @@ class _Node:
         if inst is not None:
             return inst
         inst = super().__new__(cls)
+        weight, ops = cls._sizes
         for name, value in zip(cls._fields, args):
             object.__setattr__(inst, name, value)
-        inst._validate()
+            if cls is Atom:
+                if not is_event_name(value):
+                    raise ValueError(f"invalid event name: {value!r}")
+            elif isinstance(value, _Node):
+                weight += value._weight
+                ops += value._ops
+            else:
+                raise TypeError(f"{cls.__name__}.{name} is not a process term")
+        object.__setattr__(inst, "_weight", weight)
+        object.__setattr__(inst, "_ops", ops)
         cls._pool[args] = inst
         return inst
-
-    def _validate(self) -> None:
-        pass
 
     def __setattr__(self, name, value):
         raise AttributeError("process terms are immutable")
@@ -123,75 +135,77 @@ class _Node:
         return f"{type(self).__name__}({inner})"
 
 
-def _node(cls):
-    cls._fields = cls.__slots__
-    cls.__match_args__ = cls.__slots__
-    cls._pool = weakref.WeakValueDictionary()
-    return cls
+def _node(weight: int, ops: int):
+    """Finish a node class; `weight` and `ops` are its own share of
+    `term_weight` and `term_op_count`."""
+
+    def finish(cls):
+        cls._fields = cls.__match_args__ = cls.__slots__
+        cls._pool = weakref.WeakValueDictionary()
+        cls._sizes = (weight, ops)
+        return cls
+
+    return finish
 
 
-@_node
+@_node(weight=2, ops=0)
 class Atom(_Node):
     """A single atomic event."""
 
     __slots__ = ("event",)
 
-    def _validate(self) -> None:
-        if not is_event_name(self.event):
-            raise ValueError(f"invalid event name: {self.event!r}")
 
-
-@_node
+@_node(weight=1, ops=0)
 class Skip(_Node):
     """Immediate successful termination."""
 
     __slots__ = ()
 
 
-@_node
+@_node(weight=1, ops=0)
 class Throw(_Node):
     """Raise an interrupt."""
 
     __slots__ = ()
 
 
-@_node
+@_node(weight=2, ops=0)
 class Yield(_Node):
     """Offer to yield to an interrupt, or terminate successfully."""
 
     __slots__ = ()
 
 
-@_node
+@_node(weight=0, ops=0)
 class Null(_Node):
     """The terminated process.  Runtime-only; never part of a user term."""
 
     __slots__ = ()
 
 
-@_node
+@_node(weight=1, ops=1)
 class Seq(_Node):
     __slots__ = ("left", "right")
 
 
-@_node
+@_node(weight=1, ops=1)
 class Choice(_Node):
     __slots__ = ("left", "right")
 
 
-@_node
+@_node(weight=1, ops=1)
 class Par(_Node):
     __slots__ = ("left", "right")
 
 
-@_node
+@_node(weight=1, ops=1)
 class Interrupt(_Node):
     """Interrupt handler: control passes to `right` when `left` throws."""
 
     __slots__ = ("left", "right")
 
 
-@_node
+@_node(weight=1, ops=1)
 class Block(_Node):
     """Transaction block around a compensable process.
 
@@ -202,29 +216,29 @@ class Block(_Node):
     __slots__ = ("body",)
 
 
-@_node
+@_node(weight=1, ops=0)
 class Pair(_Node):
     """Compensation pair: forward behaviour with its compensation."""
 
     __slots__ = ("forward", "compensation")
 
 
-@_node
+@_node(weight=1, ops=1)
 class CSeq(_Node):
     __slots__ = ("left", "right")
 
 
-@_node
+@_node(weight=1, ops=1)
 class CChoice(_Node):
     __slots__ = ("left", "right")
 
 
-@_node
+@_node(weight=1, ops=1)
 class CPar(_Node):
     __slots__ = ("left", "right")
 
 
-@_node
+@_node(weight=1, ops=1)
 class Aux(_Node):
     """Runtime pairing of a still-running compensable process with an
     already-banked compensation.  Arises only during execution of a
@@ -253,6 +267,11 @@ def is_compensable(term: object) -> bool:
     return isinstance(term, _COMPENSABLE_CLASSES)
 
 
+def _operands(term: _Node) -> list[_Node]:
+    fields = (getattr(term, name) for name in term._fields)
+    return [f for f in fields if isinstance(f, _Node)]
+
+
 def subterms(term: StandardTerm | CompensableTerm) -> Iterator[StandardTerm | CompensableTerm]:
     """Yield `term` and every nested subterm, preorder."""
     stack = [term]
@@ -262,91 +281,48 @@ def subterms(term: StandardTerm | CompensableTerm) -> Iterator[StandardTerm | Co
             raise TypeError(f"not a process term: {t!r}")
         yield t
         # Push the operands right to left so the leftmost comes out first.
-        for name in reversed(t._fields):
-            child = getattr(t, name)
-            if isinstance(child, _Node):
-                stack.append(child)
+        stack.extend(reversed(_operands(t)))
 
 
 def term_op_count(term: StandardTerm | CompensableTerm) -> int:
     """Number of operator nodes.
 
-    Seq/Choice/Par/Interrupt/Block and CSeq/CChoice/CPar each count one;
-    leaves and compensation pairs are free (a pair is the minimal way to
-    form a compensable term, not an extra operator).  Cached per node.
+    Seq/Choice/Par/Interrupt/Block, CSeq/CChoice/CPar and the runtime Aux
+    each count one; leaves and compensation pairs are free (a pair is the
+    minimal way to form a compensable term, not an extra operator).  Fixed
+    at interning.
     """
-    # The recursion runs through `_op_count`, so a wrapped `term_op_count`
-    # (as in a traced benchmark run) sees one call per query.
-    return _op_count(term)
-
-
-def _op_count(term: StandardTerm | CompensableTerm) -> int:
     try:
         return term._ops
     except AttributeError:
-        pass
-    match term:
-        case Atom() | Skip() | Throw() | Yield() | Null():
-            n = 0
-        case Block(body):
-            n = 1 + _op_count(body)
-        case Pair(f, c):
-            n = _op_count(f) + _op_count(c)
-        case (Seq(l, r) | Choice(l, r) | Par(l, r) | Interrupt(l, r)
-              | CSeq(l, r) | CChoice(l, r) | CPar(l, r) | Aux(l, r)):
-            n = 1 + _op_count(l) + _op_count(r)
-        case _:
-            raise TypeError(f"not a process term: {term!r}")
-    object.__setattr__(term, "_ops", n)
-    return n
-
-
-def term_depth(term: StandardTerm | CompensableTerm) -> int:
-    """Nesting depth counting every constructor, leaves = 1."""
-    match term:
-        case Atom() | Skip() | Throw() | Yield() | Null():
-            return 1
-        case Block(body):
-            return 1 + term_depth(body)
-        case Seq(l, r) | Choice(l, r) | Par(l, r) | Interrupt(l, r):
-            return 1 + max(term_depth(l), term_depth(r))
-        case Pair(f, c):
-            return 1 + max(term_depth(f), term_depth(c))
-        case CSeq(l, r) | CChoice(l, r) | CPar(l, r):
-            return 1 + max(term_depth(l), term_depth(r))
-        case Aux(rest, stored):
-            return 1 + max(term_depth(rest), term_depth(stored))
-    raise TypeError(f"not a process term: {term!r}")
+        raise TypeError(f"not a process term: {term!r}") from None
 
 
 def term_weight(term: StandardTerm | CompensableTerm) -> int:
     """Well-founded size measure that strictly decreases on every
-    transition, which is what makes exhaustive exploration terminate."""
+    transition, which is what makes exhaustive exploration terminate.
+    Fixed at interning."""
     try:
         return term._weight
     except AttributeError:
-        pass
-    match term:
-        case Null():
-            w = 0
-        case Skip() | Throw():
-            w = 1
-        case Atom() | Yield():
-            w = 2
-        case Block(body):
-            w = 1 + term_weight(body)
-        case Seq(l, r) | Choice(l, r) | Par(l, r) | Interrupt(l, r):
-            w = 1 + term_weight(l) + term_weight(r)
-        case Pair(f, c):
-            w = 1 + term_weight(f) + term_weight(c)
-        case CSeq(l, r) | CChoice(l, r) | CPar(l, r):
-            w = 1 + term_weight(l) + term_weight(r)
-        case Aux(rest, stored):
-            w = 1 + term_weight(rest) + term_weight(stored)
-        case _:
-            raise TypeError(f"not a process term: {term!r}")
-    object.__setattr__(term, "_weight", w)
-    return w
+        raise TypeError(f"not a process term: {term!r}") from None
+
+
+def term_depth(term: StandardTerm | CompensableTerm) -> int:
+    """Nesting depth counting every constructor, leaves = 1."""
+    if not isinstance(term, _Node):
+        raise TypeError(f"not a process term: {term!r}")
+    depth: dict[_Node, int] = {}
+    stack = [term]
+    while stack:
+        t = stack[-1]
+        operands = _operands(t)
+        pending = [o for o in operands if o not in depth]
+        if pending:
+            stack.extend(pending)
+        else:
+            depth[stack.pop()] = 1 + max((depth[o] for o in operands), default=0)
+    return depth[term]
 
 
 def validate_user_term(
@@ -405,51 +381,55 @@ def pretty_print(term: StandardTerm | CompensableTerm) -> str:
     try:
         return term._pp
     except AttributeError:
-        text = _render(term, 0)
+        text = _render(term)
         object.__setattr__(term, "_pp", text)
         return text
 
 
-def _render(term: StandardTerm | CompensableTerm, min_level: int) -> str:
-    match term:
-        case Atom(e):
-            return e
-        case Skip():
-            return "SKIP"
-        case Throw():
-            return "THROW"
-        case Yield():
-            return "YIELD"
-        case Null():
-            return "0"
-        case Block(body):
-            return f"[ {_render(body, 0)} ]"
-        case Seq(l, r):
-            return _binary(l, ";", r, _LEVEL_SEQ, min_level)
-        case Interrupt(l, r):
-            return _binary(l, "|>", r, _LEVEL_INTERRUPT, min_level)
-        case Choice(l, r):
-            return _binary(l, "[]", r, _LEVEL_CHOICE, min_level)
-        case Par(l, r):
-            return _binary(l, "||", r, _LEVEL_PAR, min_level)
-        case Pair(f, c):
-            text = f"{_render(f, _LEVEL_ATOM)} % {_render(c, _LEVEL_ATOM)}"
-            return f"({text})" if _LEVEL_PAIR < min_level else text
-        case CSeq(l, r):
-            return _binary(l, ";", r, _LEVEL_SEQ, min_level)
-        case CChoice(l, r):
-            return _binary(l, "[]", r, _LEVEL_CHOICE, min_level)
-        case CPar(l, r):
-            return _binary(l, "||", r, _LEVEL_PAR, min_level)
-        case Aux(rest, stored):
-            return f"<{_render(rest, 0)}, {_render(stored, 0)}>"
-    raise TypeError(f"not a process term: {term!r}")
-
-
-def _binary(left, op: str, right, level: int, min_level: int) -> str:
+def _binary(op: str, level: int) -> tuple[int, tuple]:
     # Left-associative: the right operand needs strictly tighter binding.
-    text = f"{_render(left, level)} {op} {_render(right, level + 1)}"
-    return f"({text})" if level < min_level else text
+    return level, (("left", level), f" {op} ", ("right", level + 1))
+
+
+# Concrete syntax per node class: the level below which it needs brackets,
+# and its layout, where a `str` is literal text and a (field, level) pair a
+# field rendered at that minimum level.
+_SYNTAX: dict[type, tuple[int, tuple]] = {
+    Atom: (_LEVEL_ATOM, (("event", 0),)),
+    Skip: (_LEVEL_ATOM, ("SKIP",)),
+    Throw: (_LEVEL_ATOM, ("THROW",)),
+    Yield: (_LEVEL_ATOM, ("YIELD",)),
+    Null: (_LEVEL_ATOM, ("0",)),
+    Block: (_LEVEL_ATOM, ("[ ", ("body", 0), " ]")),
+    Aux: (_LEVEL_ATOM, ("<", ("rest", 0), ", ", ("stored", 0), ">")),
+    Pair: (_LEVEL_PAIR, (("forward", _LEVEL_ATOM), " % ", ("compensation", _LEVEL_ATOM))),
+    Interrupt: _binary("|>", _LEVEL_INTERRUPT),
+    **dict.fromkeys((Seq, CSeq), _binary(";", _LEVEL_SEQ)),
+    **dict.fromkeys((Choice, CChoice), _binary("[]", _LEVEL_CHOICE)),
+    **dict.fromkeys((Par, CPar), _binary("||", _LEVEL_PAR)),
+}
+
+
+def _render(term: StandardTerm | CompensableTerm) -> str:
+    # A stack of (term or text, minimum level) instead of recursion, so a
+    # long `;` chain cannot run out of interpreter frames.
+    if not isinstance(term, _Node):
+        raise TypeError(f"not a process term: {term!r}")
+    parts: list[str] = []
+    todo: list = [(term, 0)]
+    while todo:
+        item, min_level = todo.pop()
+        if type(item) is str:
+            parts.append(item)
+            continue
+        level, layout = _SYNTAX[type(item)]
+        if level < min_level:
+            layout = ("(", *layout, ")")
+        todo.extend(
+            (piece, 0) if type(piece) is str else (getattr(item, piece[0]), piece[1])
+            for piece in reversed(layout)
+        )
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +470,7 @@ class Trace:
 
     @property
     def sort_key(self):
-        return (len(self.events), self.events, self.terminal.value)
+        return (len(self.events), self.events, self.terminal._value_)
 
     def __lt__(self, other: "Trace") -> bool:
         return self.sort_key < other.sort_key

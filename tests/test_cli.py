@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -5,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+import ccsp
+from ccsp import cli
 from ccsp.cli import run
 from ccsp.denotational import traces_compensable, traces_standard
 from ccsp.parser import parse_compensable, parse_standard
@@ -35,6 +38,16 @@ def test_deep_nesting_exits_two():
     assert code == 2
     assert out == ""
     assert "parse error" in err and "nested brackets" in err
+
+
+@pytest.mark.parametrize("command", ["check", "lts"])
+def test_long_sequence_chain_exits_zero(command):
+    # Rendering the term must not take one interpreter frame per operand.
+    chain = " ; ".join(["a"] * 500)
+    code, out, err = invoke([command, chain])
+    assert code == 0
+    assert chain in out
+    assert err == ""
 
 
 def test_usage_error_exits_two():
@@ -179,3 +192,78 @@ def test_lts_and_traces_output_is_pinned(header, expected):
     code, out, _ = invoke(argv)
     assert code == 0
     assert out == expected
+
+
+# -- the cyclic collector ---------------------------------------------------
+
+
+def _garbage_after(argv) -> int:
+    """Objects the cyclic collector finds after one `run` with it off."""
+    ccsp.clear_caches()
+    gc.collect()
+    gc.disable()
+    try:
+        invoke(argv)
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize(
+    "small,large",
+    [
+        (["prop", "--cases", "10"],
+         ["prop", "--cases", "300", "--lemmas", "--lemma-cases", "50"]),
+        (["enumerate", "--max-ops", "1", "--check"],
+         ["enumerate", "--max-ops", "2", "--check"]),
+        (["enumerate", "--max-ops", "1", "--check", "--kind", "comp"],
+         ["enumerate", "--max-ops", "2", "--check", "--kind", "comp",
+          "--alphabet", "a", "--max-pair-ops", "0"]),
+    ],
+    ids=["prop", "enumerate-std", "enumerate-comp"],
+)
+def test_campaign_leaves_no_cyclic_garbage(small, large):
+    # `run` keeps the collector off because terms, traces and memo tables
+    # are acyclic: whatever cyclic garbage a call leaves (the argument
+    # parser's) must not grow with the size of the campaign.
+    _garbage_after(small)  # first-call garbage (lazy imports) out of the way
+    assert _garbage_after(large) <= _garbage_after(small)
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["check", "a ; b"], 0),
+        (["prop", "--cases", "5", "--state-cap", "1"], 1),
+        (["check", "a ;"], 2),
+        (["check", "--no-such-option", "a"], 2),
+    ],
+    ids=["equal", "state-cap", "parse-error", "usage-error"],
+)
+@pytest.mark.parametrize("collecting", [True, False], ids=["gc-on", "gc-off"])
+def test_run_restores_the_collector(argv, code, collecting):
+    (gc.enable if collecting else gc.disable)()
+    try:
+        assert invoke(argv)[0] == code
+        assert gc.isenabled() == collecting
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["gc-on", "gc-off"])
+def test_run_restores_the_collector_when_a_command_raises(monkeypatch, collecting):
+    seen = []
+
+    def failing_dispatch(args):
+        seen.append(gc.isenabled())
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_dispatch", failing_dispatch)
+    (gc.enable if collecting else gc.disable)()
+    try:
+        with pytest.raises(RuntimeError, match="boom"):
+            run(["check", "a"])
+        assert seen == [False]
+        assert gc.isenabled() == collecting
+    finally:
+        gc.enable()

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -17,25 +18,30 @@ from ccsp.equivalence import (
     run_prop_campaign,
     verify_verdict_soundness,
 )
+from ccsp.operational import build_lts
 from ccsp.terms import (
     SKIP,
     THROW,
     YIELD,
     Atom,
+    Aux,
     Block,
     CChoice,
     CPar,
     CSeq,
     Choice,
     Interrupt,
+    Null,
     Pair,
     Par,
     Seq,
     Terminal,
     Trace,
     TracePair,
+    Yield,
     pretty_print,
     term_op_count,
+    term_weight,
     trace,
     validate_user_term,
 )
@@ -191,13 +197,25 @@ def test_enumerate_respects_pair_operand_cap():
                 assert term_op_count(sub.compensation) == 0
 
 
+#: A node's own share of `term_weight`; every other node counts one.
+_OWN_WEIGHT = {Null: 0, Atom: 2, Yield: 2}
+_OPERATORS = (Block, Seq, Choice, Par, Interrupt, CSeq, CChoice, CPar, Aux)
+
+
 @pytest.mark.parametrize("kind", ["standard", "compensable"])
 def test_cached_op_count_matches_fresh_count(kind):
-    operators = (Block, Seq, Choice, Par, Interrupt, CSeq, CChoice, CPar)
-    for term in enumerate_terms(2, ("a", "b"), kind):
-        fresh = sum(isinstance(sub, operators) for sub in ccsp.terms.subterms(term))
+    # Sizes are fixed when a term is interned; recount them over the whole
+    # tree.  The reachable states add the runtime-only Null and Aux nodes.
+    reachable = (
+        node for term in enumerate_terms(1, ("a", "b"), kind)
+        for node in build_lts(term).nodes
+    )
+    for term in itertools.chain(enumerate_terms(2, ("a", "b"), kind), reachable):
+        subs = list(ccsp.terms.subterms(term))
+        fresh = sum(isinstance(sub, _OPERATORS) for sub in subs)
         assert term_op_count(term) == fresh
-        assert term_op_count(term) == fresh  # served from the cache
+        assert term_op_count(term) == fresh  # read again from the node
+        assert term_weight(term) == sum(_OWN_WEIGHT.get(type(sub), 1) for sub in subs)
 
 
 def test_enumerate_is_duplicate_free_and_valid():

@@ -155,6 +155,22 @@ def test_counts_and_measures():
     assert term_weight(SKIP) < term_weight(A)
 
 
+def test_measures_of_a_long_chain():
+    chain = parse_standard(" ; ".join(["a"] * 5000))
+    assert term_depth(chain) == 5000
+    assert term_op_count(chain) == 4999
+    assert term_weight(chain) == 5000 * 2 + 4999
+    assert pretty_print(chain) == " ; ".join(["a"] * 5000)
+
+
+def test_measures_reject_non_terms():
+    for measure in (term_depth, term_op_count, term_weight):
+        with pytest.raises(TypeError):
+            measure("a")
+    with pytest.raises(TypeError):
+        Seq(A, "b")
+
+
 _gen_cfgs = st.builds(
     GenConfig,
     seed=st.integers(0, 2**63 - 1),
