@@ -16,6 +16,9 @@ The rules in one breath:
 * a transaction block discards the compensation of a successful forward
   trace, splices it on after a thrown one, and drops yielding forward
   traces altogether.
+
+Traces are ``(events, terminal)`` and trace pairs ``(forward, compensation)``
+tuples; the per-trace operators read them by index, faster than by name.
 """
 from __future__ import annotations
 
@@ -61,15 +64,15 @@ def sync_terminals(left: Terminal, right: Terminal) -> frozenset[Terminal]:
 def seq_traces(p: Trace, q: Trace) -> Trace:
     """Sequential composition on traces: continue with `q` only after a
     successful `p`, otherwise the observation is just `p`."""
-    if p.terminal is _TICK:
-        return Trace(p.events + q.events, q.terminal)
+    if p[1] is _TICK:
+        return Trace(p[0] + q[0], q[1])
     return p
 
 
 def interrupt_traces(p: Trace, q: Trace) -> Trace:
     """Interrupt handling on traces: `q` runs when `p` throws."""
-    if p.terminal is _THROW:
-        return Trace(p.events + q.events, q.terminal)
+    if p[1] is _THROW:
+        return Trace(p[0] + q[0], q[1])
     return p
 
 
@@ -98,15 +101,15 @@ def par_traces(p: Trace, q: Trace) -> frozenset[Trace]:
     capped with the synchronised terminal."""
     return frozenset(
         Trace(events, omega)
-        for omega in sync_terminals(p.terminal, q.terminal)
-        for events in interleave_events(p.events, q.events)
+        for omega in sync_terminals(p[1], q[1])
+        for events in interleave_events(p[0], q[0])
     )
 
 
 def pair_traces(p: Trace, q: Trace) -> TracePair:
     """Compensation pairing on traces: the compensation is installed only
     when the forward trace succeeds."""
-    if p.terminal is _TICK:
+    if p[1] is _TICK:
         return TracePair(p, q)
     return TracePair(p, _TICK_TRACE)
 
@@ -216,11 +219,12 @@ def _cseq_pairs(left: frozenset[TracePair], right: frozenset[TracePair]):
     # Compensations accumulate in reverse: the second process compensates
     # first, so its compensation trace leads.
     for lp in left:
-        if lp.forward.terminal is _TICK:
-            for rp in right:
+        l_forward, l_compensation = lp
+        if l_forward[1] is _TICK:
+            for r_forward, r_compensation in right:
                 yield TracePair(
-                    seq_traces(lp.forward, rp.forward),
-                    seq_traces(rp.compensation, lp.compensation),
+                    seq_traces(l_forward, r_forward),
+                    seq_traces(r_compensation, l_compensation),
                 )
         else:
             yield lp

@@ -271,8 +271,8 @@ def _dt_std(term: StandardTerm, budget: _Budget) -> frozenset[Trace]:
     out: set[Trace] = set()
     for label, succ in step_standard(term):
         if isinstance(label, str):
-            for t in _dt_std(succ, budget):
-                out.add(Trace((label,) + t.events, t.terminal))
+            for events, terminal in _dt_std(succ, budget):
+                out.add(Trace((label,) + events, terminal))
         else:
             out.add(Trace((), label))
     result = frozenset(out)
@@ -296,8 +296,8 @@ def _forward(term: CompensableTerm, budget: _Budget) -> frozenset[tuple[Trace, S
     out: set[tuple[Trace, StandardTerm]] = set()
     for label, succ in step_compensable(term):
         if isinstance(label, str):
-            for t, banked in _forward(succ, budget):
-                out.add((Trace((label,) + t.events, t.terminal), banked))
+            for (events, terminal), banked in _forward(succ, budget):
+                out.add((Trace((label,) + events, terminal), banked))
         else:
             out.add((Trace((), label), succ))
     result = frozenset(out)

@@ -18,8 +18,9 @@ non-associative and its operands are standard atoms, so compound operands
 must be parenthesized.  Derived constants desugar at parse time: SKIPP,
 YIELDD and THROWW become compensation pairs over SKIP.
 
-Brackets, `(` and `[` together, nest at most `MAX_NESTING` deep; deeper
-input raises `ParseError` rather than exhausting the interpreter's stack.
+Brackets, `(` and `[` together, nest at most `MAX_NESTING` deep, and a
+parsed term is at most `MAX_DEPTH` constructors deep; deeper input raises
+`ParseError` rather than exhausting the interpreter's stack.
 """
 from __future__ import annotations
 
@@ -37,12 +38,14 @@ from .terms import (
     Pair,
     Par,
     RESERVED_WORDS,
+    WORD,
     Seq,
     SKIP,
     StandardTerm,
     THROW,
     YIELD,
     desugar_alias,
+    term_depth,
 )
 
 _OPERATORS = ("||", "|>", "[]", ";", "%", "(", ")", "[", "]")
@@ -51,6 +54,11 @@ _OPERATORS = ("||", "|>", "[]", ";", "%", "(", ")", "[", "]")
 #: about six stack frames, so this keeps far below Python's default
 #: recursion limit of 1000.
 MAX_NESTING = 100
+
+#: Deepest accepted term, as `term_depth` measures it.  Both semantics
+#: recurse about a frame per level and ran out at depth 985-991 (Python's
+#: default limit is 1000 frames), so this leaves as many again to callers.
+MAX_DEPTH = 500
 
 
 @dataclass
@@ -81,14 +89,11 @@ def _tokenize(text: str) -> list[_Token]:
         if c.isspace():
             i += 1
             continue
-        if c.isalpha():
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] in "_'"):
-                j += 1
-            word = text[i:j]
-            kind = "keyword" if word in RESERVED_WORDS else "ident"
-            tokens.append(_Token(kind, word, i))
-            i = j
+        word = WORD.match(text, i)
+        if word:
+            kind = "keyword" if word[0] in RESERVED_WORDS else "ident"
+            tokens.append(_Token(kind, word[0], i))
+            i = word.end()
             continue
         matched = False
         for op in _OPERATORS:
@@ -253,19 +258,22 @@ class _Parser:
         return Pair(forward, self.std_atom())
 
 
+def _finish(p: _Parser, term):
+    if p.peek().kind != "end":
+        p.fail("end of input")
+    depth = term_depth(term)
+    if depth > MAX_DEPTH:
+        raise ParseError(0, f"a term at most {MAX_DEPTH} deep", f"depth {depth}")
+    return term
+
+
 def parse_standard(text: str) -> StandardTerm:
     """Parse a standard process term, consuming the whole input."""
     p = _Parser(text)
-    term = p.std()
-    if p.peek().kind != "end":
-        p.fail("end of input")
-    return term
+    return _finish(p, p.std())
 
 
 def parse_compensable(text: str) -> CompensableTerm:
     """Parse a compensable process term, consuming the whole input."""
     p = _Parser(text)
-    term = p.comp()
-    if p.peek().kind != "end":
-        p.fail("end of input")
-    return term
+    return _finish(p, p.comp())

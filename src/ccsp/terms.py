@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 import weakref
 from enum import Enum
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, Union
 
 
@@ -61,8 +61,9 @@ _BY_GLYPH = {g: t for t, g in _GLYPHS.items()}
 #: Words that can never be event names.
 RESERVED_WORDS = frozenset({"SKIP", "THROW", "YIELD", "SKIPP", "THROWW", "YIELDD"})
 
-#: Event names: alphabetic start, then letters/digits/underscores/primes.
-_EVENT_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_']*\Z")
+#: Event names and keywords, as the parser reads them: an ASCII letter, then
+#: ASCII letters, digits, underscores or primes.
+WORD = re.compile(r"[A-Za-z][A-Za-z0-9_']*")
 
 # An event is just its name; names are validated where events enter the
 # system (atom construction, trace deserialization, alphabet declarations).
@@ -70,7 +71,7 @@ Event = str
 
 
 def is_event_name(name: str) -> bool:
-    return bool(_EVENT_NAME.match(name)) and name not in RESERVED_WORDS
+    return bool(WORD.fullmatch(name)) and name not in RESERVED_WORDS
 
 
 def terminal_from_glyph(glyph: str) -> Terminal:
@@ -437,43 +438,49 @@ def _render(term: StandardTerm | CompensableTerm) -> str:
 # ---------------------------------------------------------------------------
 
 
-class Trace:
+class _Observation(tuple):
+    """A fixed-length tuple ordered by its `sort_key`.  All four comparisons
+    are overridden: the tuple's lexicographic order would answer any left out."""
+
+    __slots__ = ()
+
+    def __lt__(self, other):
+        return self.sort_key < other.sort_key
+
+    def __le__(self, other):
+        return self.sort_key <= other.sort_key
+
+    def __gt__(self, other):
+        return self.sort_key > other.sort_key
+
+    def __ge__(self, other):
+        return self.sort_key >= other.sort_key
+
+
+class Trace(_Observation):
     """A finite observation: normal events capped by one terminal.
 
     The terminal is held apart from the event sequence, so "exactly one
-    terminal, in final position" holds by construction.  Instances are
-    immutable, hashable, and totally ordered (length, then events, then
-    terminal) to give trace sets a canonical iteration order.
+    terminal, in final position" holds by construction.  A trace is the
+    tuple ``(events, terminal)``: immutable, hashed and compared as that
+    tuple (so it equals the plain tuple ``(events, terminal)``), and
+    totally ordered by `sort_key` (length, then events, then terminal) to
+    give trace sets a canonical iteration order.
     """
 
-    __slots__ = ("events", "terminal", "_hash")
+    __slots__ = ()
 
-    def __init__(self, events: tuple[Event, ...], terminal: Terminal):
+    def __new__(cls, events: Iterable[Event], terminal: Terminal):
         if not isinstance(terminal, Terminal):
             raise TypeError(f"not a terminal: {terminal!r}")
-        object.__setattr__(self, "events", tuple(events))
-        object.__setattr__(self, "terminal", terminal)
-        object.__setattr__(self, "_hash", hash((self.events, terminal)))
+        return tuple.__new__(cls, (tuple(events), terminal))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("traces are immutable")
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Trace)
-            and self.terminal is other.terminal
-            and self.events == other.events
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
+    events = property(itemgetter(0), doc="The normal events, a tuple of names.")
+    terminal = property(itemgetter(1), doc="The `Terminal` that ends the trace.")
 
     @property
     def sort_key(self):
         return (len(self.events), self.events, self.terminal._value_)
-
-    def __lt__(self, other: "Trace") -> bool:
-        return self.sort_key < other.sort_key
 
     def __str__(self) -> str:
         return "<" + ",".join((*self.events, self.terminal.glyph)) + ">"
@@ -481,36 +488,22 @@ class Trace:
     __repr__ = __str__
 
 
-class TracePair:
+class TracePair(_Observation):
     """Observation of a compensable process: forward trace plus the trace
-    of the compensation that would run afterwards."""
+    of the compensation that would run afterwards.  The tuple
+    ``(forward, compensation)``, so it equals that plain tuple."""
 
-    __slots__ = ("forward", "compensation", "_hash")
+    __slots__ = ()
 
-    def __init__(self, forward: Trace, compensation: Trace):
-        object.__setattr__(self, "forward", forward)
-        object.__setattr__(self, "compensation", compensation)
-        object.__setattr__(self, "_hash", hash((forward, compensation)))
+    def __new__(cls, forward: Trace, compensation: Trace):
+        return tuple.__new__(cls, (forward, compensation))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("trace pairs are immutable")
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TracePair)
-            and self.forward == other.forward
-            and self.compensation == other.compensation
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
+    forward = property(itemgetter(0), doc="The forward `Trace`.")
+    compensation = property(itemgetter(1), doc="The compensation's `Trace`.")
 
     @property
     def sort_key(self):
         return (self.forward.sort_key, self.compensation.sort_key)
-
-    def __lt__(self, other: "TracePair") -> bool:
-        return self.sort_key < other.sort_key
 
     def __str__(self) -> str:
         return f"({self.forward},{self.compensation})"

@@ -10,8 +10,8 @@ import ccsp
 from ccsp import cli
 from ccsp.cli import run
 from ccsp.denotational import traces_compensable, traces_standard
-from ccsp.parser import parse_compensable, parse_standard
-from ccsp.terms import pair_from_tokens, trace_from_tokens
+from ccsp.parser import MAX_DEPTH, parse_compensable, parse_standard
+from ccsp.terms import pair_from_tokens, term_depth, trace_from_tokens
 
 
 def invoke(argv):
@@ -50,11 +50,62 @@ def test_long_sequence_chain_exits_zero(command):
     assert err == ""
 
 
+# Input shapes whose depth grows with their length, each built to exactly
+# `depth` constructors.
+_DEEP_SHAPES = {
+    "seq": lambda depth: " ; ".join(["a"] * depth),
+    "choice": lambda depth: " [] ".join(["a"] * depth),
+    "interrupt": lambda depth: " |> ".join(["THROW"] * (depth - 1) + ["a"]),
+    "block-cseq": lambda depth: "[ " + " ; ".join(["a % b"] * (depth - 2)) + " ]",
+}
+
+
+@pytest.mark.parametrize("command", ["check", "lts", "traces"])
+@pytest.mark.parametrize("shape", _DEEP_SHAPES.values(), ids=_DEEP_SHAPES)
+def test_depth_limit_on_cli_input(shape, command):
+    assert term_depth(parse_standard(shape(MAX_DEPTH))) == MAX_DEPTH
+    # Fresh memo tables: entries left by a shallower term would shorten
+    # the recursion and hide a failure.
+    ccsp.clear_caches()
+    code, out, err = invoke([command, shape(MAX_DEPTH)])
+    assert (code, err) == (0, "")
+    assert out
+    code, out, err = invoke([command, shape(MAX_DEPTH + 1)])
+    assert (code, out) == (2, "")
+    assert f"parse error: at offset 0: expected a term at most {MAX_DEPTH} deep" in err
+
+
 def test_usage_error_exits_two():
     code, _, _ = invoke(["check"])
     assert code == 2
     code, _, _ = invoke(["bogus"])
     assert code == 2
+
+
+def test_back_to_back_runs_share_no_options():
+    code, out, _ = invoke(
+        ["traces", "--kind", "comp", "--alphabet", "a,b", "--semantics", "operational",
+         "--format", "machine", "a % b"]
+    )
+    assert code == 0 and out.startswith("{")
+    both = "denotational:\n<{0},*>\noperational:\n<{0},*>\n"
+    assert invoke(["traces", "a"]) == (0, both.format("a"), "")
+    # `c` is outside the alphabet the first call declared.
+    assert invoke(["traces", "c"]) == (0, both.format("c"), "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["check", "--no-such-option", "a"], ["check"], ["traces", "--alphabet", "1x", "a"]],
+    ids=["top-level", "missing-term", "bad-alphabet"],
+)
+def test_usage_errors_print_what_a_fresh_parser_prints(argv):
+    err = io.StringIO()
+    with redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        cli._build_parser.__wrapped__().parse_args(argv)
+    assert exc.value.code == 2
+    for _ in range(2):
+        assert invoke(argv) == (2, "", err.getvalue())
 
 
 def test_traces_both_semantics_agree_in_output():
@@ -224,10 +275,11 @@ def _garbage_after(argv) -> int:
 )
 def test_campaign_leaves_no_cyclic_garbage(small, large):
     # `run` keeps the collector off because terms, traces and memo tables
-    # are acyclic: whatever cyclic garbage a call leaves (the argument
-    # parser's) must not grow with the size of the campaign.
+    # are acyclic and the argument parser is built once: a call leaves no
+    # cyclic garbage, whatever the size of the campaign.
     _garbage_after(small)  # first-call garbage (lazy imports) out of the way
-    assert _garbage_after(large) <= _garbage_after(small)
+    assert _garbage_after(small) == 0
+    assert _garbage_after(large) == 0
 
 
 @pytest.mark.parametrize(

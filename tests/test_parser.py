@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ccsp.equivalence import GenConfig, gen_term
-from ccsp.parser import MAX_NESTING, ParseError, parse_compensable, parse_standard
+from ccsp.parser import MAX_DEPTH, MAX_NESTING, ParseError, parse_compensable, parse_standard
 from ccsp.terms import (
     SKIP,
     THROW,
@@ -18,6 +18,7 @@ from ccsp.terms import (
     Par,
     Seq,
     pretty_print,
+    term_depth,
 )
 
 A = Atom("a")
@@ -100,6 +101,8 @@ def test_blocks_nest():
         ("a $ b", 2),  # unknown operator
         ("a [] [] b", 5),
         ("SKIPP", 0),  # compensable-only keyword in standard position
+        ("\u00c0", 0),  # event names are ASCII; this was a ValueError
+        ("a\u00b2", 1),
     ],
 )
 def test_parse_errors_point_at_first_offending_lexeme(text, offset):
@@ -150,6 +153,21 @@ def test_nesting_limit_counts_blocks_and_parentheses_together():
     assert pretty_print(nested) == f"[ {body} ]"
     with pytest.raises(ParseError):
         parse_standard(f"([ {body} ])")
+
+
+def test_depth_limit_is_a_parse_error():
+    chain = " ; ".join(["a"] * MAX_DEPTH)
+    assert term_depth(parse_standard(chain)) == MAX_DEPTH
+    pairs = " ; ".join(["a % b"] * (MAX_DEPTH - 1))
+    assert term_depth(parse_compensable(pairs)) == MAX_DEPTH
+    for parse, text in (
+        (parse_standard, chain + " ; a"),
+        (parse_standard, " ; ".join(["a"] * 5000)),
+        (parse_compensable, pairs + " ; a % b"),
+    ):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert f"at most {MAX_DEPTH} deep" in str(exc.value)
 
 
 def test_whitespace_insensitive():

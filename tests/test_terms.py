@@ -1,7 +1,14 @@
+import operator
+from functools import reduce
+from itertools import product
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
+from ccsp.denotational import traces_compensable, traces_standard
 from ccsp.equivalence import GenConfig, gen_term
+from ccsp.operational import derived_forward
 from ccsp.parser import parse_compensable, parse_standard
 from ccsp.terms import (
     NULL,
@@ -18,6 +25,7 @@ from ccsp.terms import (
     Terminal,
     Trace,
     TracePair,
+    by_sort_key,
     desugar_alias,
     is_event_name,
     pair_from_tokens,
@@ -100,6 +108,69 @@ def test_trace_pair_order():
     assert sorted([p3, p2, p1]) == [p1, p2, p3]
 
 
+def _pinned_observations():
+    """Every trace pair of the pinned worked examples, and every trace in
+    them, halves of pairs included."""
+    traces, pairs = set(), set()
+    golden = Path(__file__).parent / "data" / "pinned_values.txt"
+    for line in golden.read_text(encoding="utf-8").splitlines():
+        if not line.strip() or line.startswith("#"):
+            continue
+        kind, text, _ = (part.strip() for part in line.split("::"))
+        if kind == "std":
+            traces |= traces_standard(parse_standard(text))
+        else:
+            members = traces_compensable(parse_compensable(text))
+            pairs |= members
+            traces |= {t for p in members for t in p}
+    return sorted(traces, key=by_sort_key), sorted(pairs, key=by_sort_key)
+
+
+PINNED_TRACES, PINNED_PAIRS = _pinned_observations()
+_ORDERINGS = (operator.lt, operator.le, operator.gt, operator.ge)
+
+
+@pytest.mark.parametrize("members", [PINNED_TRACES, PINNED_PAIRS], ids=["traces", "pairs"])
+@pytest.mark.parametrize("compare", _ORDERINGS, ids=lambda op: op.__name__)
+def test_every_ordering_operator_follows_sort_key(members, compare):
+    for x, y in product(members, repeat=2):
+        assert compare(x, y) == compare(x.sort_key, y.sort_key), (compare, x, y)
+
+
+def test_pinned_traces_tell_sort_key_from_tuple_order():
+    # Without this, a trace type that fell back to the tuple's own
+    # lexicographic order would pass the test above.
+    assert any(
+        tuple.__lt__(x, y) != (x.sort_key < y.sort_key)
+        for x, y in product(PINNED_TRACES, repeat=2)
+    )
+
+
+def test_observations_equal_only_their_own_kind():
+    outcomes = derived_forward(parse_compensable("(a % a') ; (b % b') [] THROWW"))
+    terms = (A, SKIP, Pair(A, B))
+    for t in PINNED_TRACES:
+        # The documented equality: a trace is the tuple (events, terminal).
+        assert t == (t.events, t.terminal) and hash(t) == hash((t.events, t.terminal))
+        for other in (*PINNED_PAIRS, *terms, *outcomes):
+            assert t != other and other != t
+    for p in PINNED_PAIRS:
+        for other in (*terms, *outcomes):
+            assert p != other and other != p
+    assert not set(PINNED_TRACES) & set(PINNED_PAIRS)
+
+
+def test_observations_check_terminals_and_are_immutable():
+    for bad in ("*", 0, None, trace("*")):
+        with pytest.raises(TypeError):
+            Trace(("a",), bad)
+    t = trace("a", "*")
+    p = TracePair(t, t)
+    for obj, name in ((t, "events"), (t, "terminal"), (p, "forward"), (p, "compensation"), (t, "extra")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+
+
 def test_validate_user_term_accepts_plain_atom():
     assert validate_user_term(A) == []
 
@@ -156,7 +227,8 @@ def test_counts_and_measures():
 
 
 def test_measures_of_a_long_chain():
-    chain = parse_standard(" ; ".join(["a"] * 5000))
+    # Built by hand: the parser refuses terms deeper than `MAX_DEPTH`.
+    chain = reduce(Seq, [A] * 5000)
     assert term_depth(chain) == 5000
     assert term_op_count(chain) == 4999
     assert term_weight(chain) == 5000 * 2 + 4999
