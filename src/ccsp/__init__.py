@@ -11,6 +11,13 @@ from .denotational import (
     check_healthiness,
     interleave_events,
     interrupt_traces,
+    lift_block,
+    lift_cpar,
+    lift_cseq,
+    lift_interrupt,
+    lift_pair,
+    lift_par,
+    lift_seq,
     pair_traces,
     par_traces,
     seq_traces,

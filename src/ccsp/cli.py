@@ -64,9 +64,8 @@ def _split_alphabet(text: str) -> tuple[str, ...]:
 
 
 def _set_tokens(traces, kind: str) -> list:
-    if kind == "std":
-        return [trace_tokens(t) for t in sorted(traces, key=by_sort_key)]
-    return [pair_tokens(p) for p in sorted(traces, key=by_sort_key)]
+    tokens = trace_tokens if kind == "std" else pair_tokens
+    return [tokens(t) for t in sorted(traces, key=by_sort_key)]
 
 
 def _print_set(traces) -> None:
@@ -181,19 +180,7 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    if args.command == "traces":
-        return _cmd_traces(args)
-    if args.command == "check":
-        return _cmd_check(args)
-    if args.command == "lts":
-        return _cmd_lts(args)
-    if args.command == "prop":
-        return _cmd_prop(args)
-    if args.command == "enumerate":
-        return _cmd_enumerate(args)
-    if args.command == "example":
-        return _cmd_example(args)
-    raise AssertionError(f"unhandled command {args.command!r}")
+    return _COMMANDS[args.command](args)
 
 
 def _validated_term(args):
@@ -208,17 +195,13 @@ def _validated_term(args):
 
 def _cmd_traces(args) -> int:
     term = _validated_term(args)
+    std = args.kind == "std"
     sets = {}
     if args.semantics in ("denotational", "both"):
-        sets["denotational"] = (
-            traces_standard(term) if args.kind == "std" else traces_compensable(term)
-        )
+        sets["denotational"] = traces_standard(term) if std else traces_compensable(term)
     if args.semantics in ("operational", "both"):
-        sets["operational"] = (
-            derived_traces_standard(term)
-            if args.kind == "std"
-            else derived_traces_compensable(term)
-        )
+        derived = derived_traces_standard if std else derived_traces_compensable
+        sets["operational"] = derived(term)
     if args.format == "machine":
         record = {
             "command": "traces",
@@ -345,12 +328,9 @@ def _cmd_enumerate(args) -> int:
     mismatches = 0
     unhealthy = 0
     total = 0
+    check = check_standard if args.kind == "std" else check_compensable
     for term in enumerate_terms(args.max_ops, args.alphabet, kind_name, args.max_pair_ops):
-        verdict = (
-            check_standard(term, args.state_cap)
-            if args.kind == "std"
-            else check_compensable(term, args.state_cap)
-        )
+        verdict = check(term, args.state_cap)
         level = term_op_count(term)
         counts = per_level.setdefault(level, [0, 0])
         counts[0] += 1
@@ -386,6 +366,12 @@ def _cmd_example(args) -> int:
     for name, passed, detail in report.checks:
         print(f"{'pass' if passed else 'FAIL'}: {name} ({detail})")
     return 0 if report.ok else 1
+
+
+_COMMANDS = {
+    "traces": _cmd_traces, "check": _cmd_check, "lts": _cmd_lts,
+    "prop": _cmd_prop, "enumerate": _cmd_enumerate, "example": _cmd_example,
+}
 
 
 def main() -> None:

@@ -1,8 +1,11 @@
 """Compositional trace semantics.
 
 Operators are defined first on individual traces, then lifted pointwise to
-sets.  A standard process denotes a set of traces; a compensable process
-denotes a set of trace pairs (forward trace, compensation trace).
+sets: one set operator per clause (`lift_seq`, `lift_par`, `lift_interrupt`,
+`lift_block`, `lift_pair`, `lift_cseq`, `lift_cpar`; choice is union).  A
+standard process denotes a set of traces; a compensable process denotes a
+set of trace pairs (forward trace, compensation trace).  The decomposition
+laws in `ccsp.equivalence` apply the same set operators to derived traces.
 
 The rules in one breath:
 
@@ -52,13 +55,26 @@ _TICK, _THROW, _YIELD = Terminal.TICK, Terminal.THROW, Terminal.YIELD
 _TICK_TRACE = Trace((), _TICK)
 
 
+# The paper's synchronisation set, as (left, right, synchronised) rows.  It
+# is tabled here, not read off `Terminal.join`, which the operational
+# semantics uses, so that a fault in either shows up as a disagreement.
+_SYNC = {
+    (left, right): frozenset((omega,))
+    for left, right, omega in (
+        (_TICK, _TICK, _TICK), (_TICK, _YIELD, _YIELD), (_TICK, _THROW, _THROW),
+        (_YIELD, _TICK, _YIELD), (_YIELD, _YIELD, _YIELD), (_YIELD, _THROW, _THROW),
+        (_THROW, _TICK, _THROW), (_THROW, _YIELD, _THROW), (_THROW, _THROW, _THROW),
+    )
+}
+
+
 def sync_terminals(left: Terminal, right: Terminal) -> frozenset[Terminal]:
     """Synchronise two terminals: the singleton join in tick < yield < throw.
 
     Set-valued because parallel termination is specified as membership in
     the synchronisation set.
     """
-    return frozenset((left.join(right),))
+    return _SYNC[left, right]
 
 
 def seq_traces(p: Trace, q: Trace) -> Trace:
@@ -128,6 +144,57 @@ def block_traces(p: Trace, compensation: Trace) -> frozenset[Trace]:
     return frozenset()
 
 
+# One set operator per clause.  Each looks its per-trace operator up when it
+# runs, so patching `seq_traces` (say) changes every clause that uses it.
+def lift_seq(ps: frozenset[Trace], qs: frozenset[Trace]) -> frozenset[Trace]:
+    """The `Seq` clause: `seq_traces` over every pair of traces."""
+    return frozenset(seq_traces(p, q) for p in ps for q in qs)
+
+
+def lift_interrupt(ps: frozenset[Trace], qs: frozenset[Trace]) -> frozenset[Trace]:
+    """The `Interrupt` clause: `interrupt_traces` over every pair of traces."""
+    return frozenset(interrupt_traces(p, q) for p in ps for q in qs)
+
+
+def lift_par(ps: frozenset[Trace], qs: frozenset[Trace]) -> frozenset[Trace]:
+    """The `Par` clause: the union of `par_traces` over every pair."""
+    return frozenset(t for p in ps for q in qs for t in par_traces(p, q))
+
+
+def lift_pair(ps: frozenset[Trace], qs: frozenset[Trace]) -> frozenset[TracePair]:
+    """The `Pair` clause: `pair_traces` over every forward and compensation."""
+    return frozenset(pair_traces(p, q) for p in ps for q in qs)
+
+
+def lift_block(pairs: frozenset[TracePair]) -> frozenset[Trace]:
+    """The `Block` clause: the union of `block_traces` over the pairs."""
+    return frozenset(t for forward, comp in pairs for t in block_traces(forward, comp))
+
+
+def lift_cseq(left: frozenset[TracePair], right: frozenset[TracePair]) -> frozenset[TracePair]:
+    """The `CSeq` clause: a successful forward trace goes on into every right
+    pair, whose compensation runs first; any other left pair is kept whole."""
+    out = []
+    for lp in left:
+        lf, lc = lp
+        if lf[1] is _TICK:
+            out += (TracePair(seq_traces(lf, rf), seq_traces(rc, lc)) for rf, rc in right)
+        else:
+            out.append(lp)
+    return frozenset(out)
+
+
+def lift_cpar(left: frozenset[TracePair], right: frozenset[TracePair]) -> frozenset[TracePair]:
+    """The `CPar` clause: `par_traces` on forwards and on compensations."""
+    return frozenset(
+        TracePair(t, t2)
+        for lf, lc in left
+        for rf, rc in right
+        for t in par_traces(lf, rf)
+        for t2 in par_traces(lc, rc)
+    )
+
+
 # ---------------------------------------------------------------------------
 # Semantic functions
 # ---------------------------------------------------------------------------
@@ -153,30 +220,15 @@ def traces_standard(term: StandardTerm) -> frozenset[Trace]:
         case Yield():
             out = frozenset((Trace((), _YIELD), Trace((), _TICK)))
         case Seq(l, r):
-            out = frozenset(
-                seq_traces(p, q) for p in traces_standard(l) for q in traces_standard(r)
-            )
+            out = lift_seq(traces_standard(l), traces_standard(r))
         case Choice(l, r):
             out = traces_standard(l) | traces_standard(r)
         case Par(l, r):
-            out = frozenset(
-                t
-                for p in traces_standard(l)
-                for q in traces_standard(r)
-                for t in par_traces(p, q)
-            )
+            out = lift_par(traces_standard(l), traces_standard(r))
         case Interrupt(l, r):
-            out = frozenset(
-                interrupt_traces(p, q)
-                for p in traces_standard(l)
-                for q in traces_standard(r)
-            )
+            out = lift_interrupt(traces_standard(l), traces_standard(r))
         case Block(body):
-            out = frozenset(
-                t
-                for tp in traces_compensable(body)
-                for t in block_traces(tp.forward, tp.compensation)
-            )
+            out = lift_block(traces_compensable(body))
         case Null():
             raise ValueError("the null process has no denotation")
         case _:
@@ -192,42 +244,19 @@ def traces_compensable(term: CompensableTerm) -> frozenset[TracePair]:
         return hit
     match term:
         case Pair(f, c):
-            out = frozenset(
-                pair_traces(p, q) for p in traces_standard(f) for q in traces_standard(c)
-            )
+            out = lift_pair(traces_standard(f), traces_standard(c))
         case CSeq(l, r):
-            out = frozenset(_cseq_pairs(traces_compensable(l), traces_compensable(r)))
+            out = lift_cseq(traces_compensable(l), traces_compensable(r))
         case CChoice(l, r):
             out = traces_compensable(l) | traces_compensable(r)
         case CPar(l, r):
-            out = frozenset(
-                TracePair(t, t2)
-                for lp in traces_compensable(l)
-                for rp in traces_compensable(r)
-                for t in par_traces(lp.forward, rp.forward)
-                for t2 in par_traces(lp.compensation, rp.compensation)
-            )
+            out = lift_cpar(traces_compensable(l), traces_compensable(r))
         case Aux():
             raise ValueError("the auxiliary construct has no denotation")
         case _:
             raise TypeError(f"not a compensable term: {term!r}")
     _T_COMP[term] = out
     return out
-
-
-def _cseq_pairs(left: frozenset[TracePair], right: frozenset[TracePair]):
-    # Compensations accumulate in reverse: the second process compensates
-    # first, so its compensation trace leads.
-    for lp in left:
-        l_forward, l_compensation = lp
-        if l_forward[1] is _TICK:
-            for r_forward, r_compensation in right:
-                yield TracePair(
-                    seq_traces(l_forward, r_forward),
-                    seq_traces(r_compensation, l_compensation),
-                )
-        else:
-            yield lp
 
 
 def check_healthiness(term: StandardTerm | CompensableTerm) -> bool:

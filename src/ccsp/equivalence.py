@@ -5,6 +5,10 @@
 by exact set equality in both directions.  `check_lemma` does the same for
 the seven decomposition laws relating lifted runs of a composite term to
 trace-level operators over the runs of its parts, one law per operator.
+Laws 1, 2, 6 and 7 reuse the trace semantics' one set operator per clause
+(`lift_seq`, `lift_par`, `lift_pair`, `lift_block`) over derived sets, so
+a fault in a clause shows up in its law; laws 3-5 relate forward outcomes.
+Neither semantics imports the other or this module.
 
 Terms come from either a seeded random generator or an exhaustive
 enumerator of all user terms up to an operator budget, so the equality can
@@ -18,9 +22,11 @@ from typing import Iterator, Mapping
 
 from . import denotational, operational
 from .denotational import (
-    block_traces,
     check_healthiness,
-    pair_traces,
+    lift_block,
+    lift_pair,
+    lift_par,
+    lift_seq,
     par_traces,
     seq_traces,
     traces_compensable,
@@ -120,19 +126,14 @@ def verify_verdict_soundness(verdict: Verdict) -> bool:
     belong to exactly the semantics that claims it."""
     term = verdict.term
     if is_compensable(term):
-        derived = derived_traces_compensable(term)
+        in_operational = derived_traces_compensable(term).__contains__
         denoted = traces_compensable(term)
-        in_operational = lambda t: t in derived
-        in_denotational = lambda t: t in denoted
     else:
-        denoted = traces_standard(term)
         in_operational = lambda t: run_lifted(term, t)
-        in_denotational = lambda t: t in denoted
+        denoted = traces_standard(term)
     return all(
-        in_operational(t) and not in_denotational(t) for t in verdict.only_operational
-    ) and all(
-        in_denotational(t) and not in_operational(t) for t in verdict.only_denotational
-    )
+        in_operational(t) and t not in denoted for t in verdict.only_operational
+    ) and all(t in denoted and not in_operational(t) for t in verdict.only_denotational)
 
 
 # ---------------------------------------------------------------------------
@@ -140,25 +141,17 @@ def verify_verdict_soundness(verdict: Verdict) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _law_seq_standard(p, q):
-    lhs = derived_traces_standard(Seq(p, q))
-    rhs = frozenset(
-        seq_traces(a, b)
-        for a in derived_traces_standard(p)
-        for b in derived_traces_standard(q)
-    )
-    return lhs, rhs
+def _derived(term):
+    """The derived traces (or trace pairs) of a term of either kind."""
+    if is_compensable(term):
+        return derived_traces_compensable(term)
+    return derived_traces_standard(term)
 
 
-def _law_par_standard(p, q):
-    lhs = derived_traces_standard(Par(p, q))
-    rhs = frozenset(
-        t
-        for a in derived_traces_standard(p)
-        for b in derived_traces_standard(q)
-        for t in par_traces(a, b)
-    )
-    return lhs, rhs
+def _clause_law(ctor, lift):
+    """The law that the runs of `ctor(*operands)` are `lift`, the trace
+    semantics' clause for `ctor`, applied to the runs of the operands."""
+    return lambda *operands: (_derived(ctor(*operands)), lift(*map(_derived, operands)))
 
 
 def _law_seq_forward(pp, qq):
@@ -190,35 +183,15 @@ def _law_par_forward(pp, qq):
     return lhs, rhs
 
 
-def _law_pair(p, q):
-    lhs = derived_traces_compensable(Pair(p, q))
-    rhs = frozenset(
-        pair_traces(a, b)
-        for a in derived_traces_standard(p)
-        for b in derived_traces_standard(q)
-    )
-    return lhs, rhs
-
-
-def _law_block(pp):
-    lhs = derived_traces_standard(Block(pp))
-    rhs = frozenset(
-        t
-        for tp in derived_traces_compensable(pp)
-        for t in block_traces(tp.forward, tp.compensation)
-    )
-    return lhs, rhs
-
-
 #: law id -> (name, operand kinds, implementation)
 LAWS: dict[int, tuple[str, tuple[str, ...], object]] = {
-    1: ("seq-standard", ("std", "std"), _law_seq_standard),
-    2: ("par-standard", ("std", "std"), _law_par_standard),
+    1: ("seq-standard", ("std", "std"), _clause_law(Seq, lift_seq)),
+    2: ("par-standard", ("std", "std"), _clause_law(Par, lift_par)),
     3: ("seq-forward", ("comp", "comp"), _law_seq_forward),
     4: ("aux-removal", ("comp", "std"), _law_aux_removal),
     5: ("par-forward", ("comp", "comp"), _law_par_forward),
-    6: ("pair", ("std", "std"), _law_pair),
-    7: ("block", ("comp",), _law_block),
+    6: ("pair", ("std", "std"), _clause_law(Pair, lift_pair)),
+    7: ("block", ("comp",), _clause_law(Block, lift_block)),
 }
 
 

@@ -113,6 +113,8 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.index = 0
         self.depth = 0
+        #: start index of a bracketed atom -> (the atom, the index after it)
+        self.brackets: dict[int, tuple[StandardTerm, int]] = {}
 
     # -- token plumbing ----------------------------------------------------
 
@@ -195,16 +197,18 @@ class _Parser:
                 self.advance()
                 return YIELD
             self.fail("a standard term")
-        if self.at_op("("):
-            self.open_bracket()
-            inner = self.std()
-            self.close_bracket(")")
+        if tok.kind == "op" and tok.text in ("(", "["):
+            # `comp_pair` may read the same bracket twice.  What it holds
+            # depends only on where it starts (the nesting depth there is the
+            # same on every path), so each is parsed once.
+            start = self.index
+            if start not in self.brackets:
+                self.open_bracket()
+                inner = self.std() if tok.text == "(" else Block(self.comp())
+                self.close_bracket(")" if tok.text == "(" else "]")
+                self.brackets[start] = inner, self.index
+            inner, self.index = self.brackets[start]
             return inner
-        if self.at_op("["):
-            self.open_bracket()
-            body = self.comp()
-            self.close_bracket("]")
-            return Block(body)
         self.fail("a standard term")
         raise AssertionError("unreachable")
 

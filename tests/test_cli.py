@@ -187,6 +187,18 @@ def test_prop_with_lemma_suites():
         assert f"lemma {lemma} " in out
 
 
+def test_prop_lemma_transcript_is_pinned():
+    # The golden file is the whole stdout of this command at a known-good
+    # commit: the case lines, every law's line and its coverage counters.
+    golden = Path(__file__).parent / "data" / "prop_lemmas_golden.txt"
+    code, out, _ = invoke(
+        ["prop", "--seed", "42", "--cases", "60", "--max-depth", "5", "--lemmas",
+         "--lemma-cases", "60"]
+    )
+    assert code == 0
+    assert out == golden.read_text(encoding="utf-8")
+
+
 def test_enumerate_listing_matches_check_counts():
     code, out, _ = invoke(["enumerate", "--max-ops", "0", "--alphabet", "a,b"])
     assert code == 0

@@ -15,7 +15,7 @@ from ccsp.denotational import (
     traces_compensable,
     traces_standard,
 )
-from ccsp.equivalence import GenConfig, gen_term
+from ccsp.equivalence import GenConfig, check_standard, enumerate_terms, gen_term
 from ccsp.operational import derived_traces_standard, run_lifted
 from ccsp.terms import (
     NULL,
@@ -72,6 +72,19 @@ def test_sync_terminals_is_commutative_associative_with_tick_identity():
                 (xy,) = sync_terminals(x, y)
                 (yz,) = sync_terminals(y, z)
                 assert sync_terminals(xy, z) == sync_terminals(x, yz)
+
+
+def test_join_mutant_makes_the_semantics_disagree(monkeypatch):
+    # `sync_terminals` has its own table, so a fault in `Terminal.join`,
+    # which the operational semantics uses for parallel termination, changes
+    # only one side and the checker sees it.
+    monkeypatch.setattr(Terminal, "join", lambda self, other: self)
+    first = next(
+        (i, term)
+        for i, term in enumerate(enumerate_terms(2, ("a", "b")), start=1)
+        if not check_standard(term).is_equal
+    )
+    assert first == (59, Par(A, THROW))
 
 
 # -- trace operators ----------------------------------------------------------

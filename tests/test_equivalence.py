@@ -285,6 +285,24 @@ def test_mutated_seq_success_condition_is_caught(monkeypatch):
         ccsp.clear_caches()
 
 
+@pytest.mark.parametrize(
+    "lemma,operator,wrong,operands",
+    [
+        (1, "seq_traces", lambda p, q: p, (SKIP, Atom("a"))),
+        (2, "par_traces", lambda p, q: frozenset((p,)), (Atom("a"), Atom("b"))),
+        (6, "pair_traces", lambda p, q: TracePair(p, p), (Atom("a"), Atom("b"))),
+        (7, "block_traces", lambda p, c: frozenset((p,)), (Pair(THROW, Atom("a")),)),
+    ],
+    ids=["seq", "par", "pair", "block"],
+)
+def test_clause_law_follows_its_semantic_clause(monkeypatch, lemma, operator, wrong, operands):
+    # Laws 1, 2, 6 and 7 apply the trace semantics' own set operator to the
+    # derived traces of the operands, so a wrong trace operator breaks them.
+    assert check_lemma(lemma, operands).status == "equal"
+    monkeypatch.setattr(denotational, operator, wrong)
+    assert check_lemma(lemma, operands).status == "mismatch"
+
+
 def test_smallest_seq_mutant_witness():
     ccsp.clear_caches()
     original = denotational.seq_traces

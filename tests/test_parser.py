@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -153,6 +155,19 @@ def test_nesting_limit_counts_blocks_and_parentheses_together():
     assert pretty_print(nested) == f"[ {body} ]"
     with pytest.raises(ParseError):
         parse_standard(f"([ {body} ])")
+
+
+def test_nested_compensable_brackets_parse_fast():
+    # At each level `comp_pair` reads `([ ... ] % SKIP)` first as a pair
+    # operand, which fails at `%`, then as a parenthesized compensable term;
+    # parsing the inner block afresh each time doubles the work per level.
+    text, term = "a % b", Pair(A, B)
+    for _ in range(20):
+        text = f"a % b ; ([ {text} ] % SKIP)"
+        term = CSeq(Pair(A, B), Pair(Block(term), SKIP))
+    start = time.perf_counter()
+    assert parse_compensable(text) is term
+    assert time.perf_counter() - start < 1.0
 
 
 def test_depth_limit_is_a_parse_error():
