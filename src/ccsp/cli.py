@@ -63,6 +63,25 @@ def _split_alphabet(text: str) -> tuple[str, ...]:
     return names
 
 
+def _int_at_least(low: int):
+    """An argparse type for integer options that refuses values below `low`."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
+_COUNT = _int_at_least(0)
+_POSITIVE = _int_at_least(1)
+
+
 def _set_tokens(traces, kind: str) -> list:
     tokens = trace_tokens if kind == "std" else pair_tokens
     return [tokens(t) for t in sorted(traces, key=by_sort_key)]
@@ -111,8 +130,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_prop = sub.add_parser("prop", help="seeded randomized equivalence campaign")
     p_prop.add_argument("--seed", type=int, default=0)
-    p_prop.add_argument("--cases", type=int, default=100)
-    p_prop.add_argument("--max-depth", type=int, default=4)
+    p_prop.add_argument("--cases", type=_COUNT, default=100)
+    p_prop.add_argument("--max-depth", type=_POSITIVE, default=4)
     p_prop.add_argument("--alphabet", type=_split_alphabet, default=("a", "b"))
     p_prop.add_argument("--kind", choices=("std", "comp", "both"), default="both")
     p_prop.add_argument(
@@ -120,18 +139,18 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also run the decomposition-law suites (laws 1-7)",
     )
-    p_prop.add_argument("--lemma-cases", type=int, default=500)
-    p_prop.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP)
+    p_prop.add_argument("--lemma-cases", type=_COUNT, default=500)
+    p_prop.add_argument("--state-cap", type=_POSITIVE, default=DEFAULT_STATE_CAP)
 
     p_enum = sub.add_parser(
         "enumerate", help="enumerate all terms up to an operator budget"
     )
-    p_enum.add_argument("--max-ops", type=int, required=True)
+    p_enum.add_argument("--max-ops", type=_COUNT, required=True)
     p_enum.add_argument("--alphabet", type=_split_alphabet, default=("a", "b"))
     p_enum.add_argument("--kind", choices=("std", "comp"), default="std")
     p_enum.add_argument(
         "--max-pair-ops",
-        type=int,
+        type=_COUNT,
         default=None,
         help="cap on operator count of each compensation-pair operand",
     )
@@ -140,7 +159,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="check semantic equivalence of every enumerated term",
     )
-    p_enum.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP)
+    p_enum.add_argument("--state-cap", type=_POSITIVE, default=DEFAULT_STATE_CAP)
 
     p_example = sub.add_parser("example", help="run a bundled scenario")
     p_example.add_argument("name", choices=("warehouse",))

@@ -16,8 +16,12 @@ be tested both broadly and completely at desk scale.
 """
 from __future__ import annotations
 
+import functools
+import math
 import random
+from bisect import bisect
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterator, Mapping
 
 from . import denotational, operational
@@ -234,7 +238,8 @@ class GenConfig:
     depth 2 on its own, so terms reach at most max_depth + 1 constructors.
     Leaf probability rises with depth, and the weight of nested parallel
     composition decays, to keep interleaving products at desk scale.  Null
-    and the auxiliary construct are never generated.
+    and the auxiliary construct are never generated.  `weights` overrides
+    entries of `DEFAULT_WEIGHTS`; each must be positive and finite.
     """
 
     seed: int
@@ -254,86 +259,95 @@ class GenConfig:
             for name, w in self.weights.items():
                 if name not in DEFAULT_WEIGHTS:
                     raise ValueError(f"unknown constructor: {name!r}")
-                if w <= 0:
-                    raise ValueError(f"weight for {name!r} must be positive")
+                try:
+                    ok = w > 0 and math.isfinite(w)
+                except OverflowError:  # an int too large for a float
+                    ok = False
+                if not ok:
+                    raise ValueError(f"weight for {name!r} must be positive and finite")
 
 
 def gen_term(cfg: GenConfig) -> StandardTerm | CompensableTerm:
-    """Generate a valid user term; a pure function of the config."""
-    rng = random.Random(cfg.seed)
-    weights = dict(DEFAULT_WEIGHTS)
-    if cfg.weights:
-        weights.update(cfg.weights)
-    if cfg.kind == "standard":
-        return _gen_std(rng, cfg, weights, cfg.max_depth, 0)
-    return _gen_comp(rng, cfg, weights, cfg.max_depth, 0)
+    """Generate a valid user term; a pure function of the config.
+
+    The term is fixed by the order in which it reads the seeded stream,
+    top-down and left operand first: one `random()` per weighted choice of
+    constructor, one `choice(alphabet)` per atom, none for a pair forced at
+    the depth limit.  A weighted choice reads the stream as
+    `random.choices(names, weights)` does, so the terms are that recipe's;
+    the tests keep it as the reference.
+    """
+    # The type keeps weights 2 and 2.0 apart: their sums can round differently.
+    custom = tuple((k, type(w), w) for k, w in cfg.weights.items()) if cfg.weights else ()
+    gen = _Generator(_DrawTables(cfg.max_depth, custom), random.Random(cfg.seed), cfg.alphabet)
+    return gen.std(cfg.max_depth, 0) if cfg.kind == "standard" else gen.comp(cfg.max_depth, 0)
 
 
-def _pick(rng, choices: list[str], weights: list[float]) -> str:
-    return rng.choices(choices, weights=weights, k=1)[0]
+#: What a weighted draw picks, in the order of the weight names in `_DrawTables`.
+_STD_NODES = (Atom, SKIP, THROW, YIELD, Seq, Choice, Par, Interrupt, Block)
+_COMP_NODES = (Pair, CSeq, CChoice, CPar)
 
 
-def _leaf_bias(cfg: GenConfig, remaining: int) -> float:
-    depth = cfg.max_depth - remaining  # 0 at the root
-    return (depth + 1) ** 2 / 4.0
+@functools.lru_cache(maxsize=64)  # one shared instance per (max_depth, custom)
+class _DrawTables(dict):
+    """Cell `(compensable, remaining, par_depth)` -> `(nodes, cum, total, hi)`: the floats
+    `random.choices` computed for such a node (same weights, `accumulate`, `cum[-1] + 0.0`).
+    Cells are built on first use and raise `ValueError` where `choices` did (as when
+    `weight * bias` overflows), so a config fails for the same seeds."""
+
+    def __init__(self, max_depth: int, custom: tuple):
+        self.max_depth, self.weights = max_depth, DEFAULT_WEIGHTS | {k: w for k, _, w in custom}
+
+    def __missing__(self, key):
+        compensable, remaining, par_depth = key
+        w = self.weights
+        if remaining <= 1:  # standard only: a compensable node here is a pair
+            nodes, ws = _STD_NODES[:4], [w[k] for k in _STD_LEAVES]
+        else:  # leaves gain weight with depth, nested parallels lose it
+            bias, par_decay = (self.max_depth - remaining + 1) ** 2 / 4.0, 3.0 ** par_depth
+            nodes, leaves, internal, par = ((_COMP_NODES, ("pair",), _COMP_INTERNAL, "cpar")
+                if compensable else (_STD_NODES, _STD_LEAVES, _STD_INTERNAL, "par"))
+            ws = [w[k] * bias for k in leaves]
+            ws += [w[k] / (par_decay if k == par else 1.0) for k in internal]
+        cum = list(accumulate(ws))
+        total = cum[-1] + 0.0
+        if not math.isfinite(total):
+            raise ValueError("Total of weights must be finite")
+        self[key] = cell = (nodes, cum, total, len(cum) - 1)
+        return cell
 
 
-def _gen_std(rng, cfg, weights, remaining: int, par_depth: int) -> StandardTerm:
-    if remaining <= 1:
-        kind = _pick(rng, list(_STD_LEAVES), [weights[k] for k in _STD_LEAVES])
-    else:
-        bias = _leaf_bias(cfg, remaining)
-        par_decay = 3.0 ** par_depth
-        names = list(_STD_LEAVES) + list(_STD_INTERNAL)
-        ws = [weights[k] * bias for k in _STD_LEAVES] + [
-            weights[k] / (par_decay if k == "par" else 1.0) for k in _STD_INTERNAL
-        ]
-        kind = _pick(rng, names, ws)
-    if kind == "atom":
-        return Atom(rng.choice(cfg.alphabet))
-    if kind == "skip":
-        return SKIP
-    if kind == "throw":
-        return THROW
-    if kind == "yield":
-        return YIELD
-    if kind == "block":
-        return Block(_gen_comp(rng, cfg, weights, remaining - 1, par_depth))
-    left = _gen_std(rng, cfg, weights, remaining - 1, par_depth + (kind == "par"))
-    right = _gen_std(rng, cfg, weights, remaining - 1, par_depth + (kind == "par"))
-    if kind == "seq":
-        return Seq(left, right)
-    if kind == "choice":
-        return Choice(left, right)
-    if kind == "par":
-        return Par(left, right)
-    return Interrupt(left, right)
+class _Generator:
+    """One `gen_term` call (methods, not closures: two closures that call
+    each other make a reference cycle per call, left to the collector)."""
 
+    __slots__ = ("tables", "alphabet", "rng", "draw")
 
-def _gen_comp(rng, cfg, weights, remaining: int, par_depth: int) -> CompensableTerm:
-    if remaining <= 1:
-        kind = "pair"
-    else:
-        bias = _leaf_bias(cfg, remaining)
-        par_decay = 3.0 ** par_depth
-        names = ["pair"] + list(_COMP_INTERNAL)
-        ws = [weights["pair"] * bias] + [
-            weights[k] / (par_decay if k == "cpar" else 1.0) for k in _COMP_INTERNAL
-        ]
-        kind = _pick(rng, names, ws)
-    if kind == "pair":
-        budget = max(remaining - 1, 1)
-        return Pair(
-            _gen_std(rng, cfg, weights, budget, par_depth),
-            _gen_std(rng, cfg, weights, budget, par_depth),
-        )
-    left = _gen_comp(rng, cfg, weights, remaining - 1, par_depth + (kind == "cpar"))
-    right = _gen_comp(rng, cfg, weights, remaining - 1, par_depth + (kind == "cpar"))
-    if kind == "cseq":
-        return CSeq(left, right)
-    if kind == "cchoice":
-        return CChoice(left, right)
-    return CPar(left, right)
+    def __init__(self, tables: _DrawTables, rng: random.Random, alphabet: tuple[Event, ...]):
+        self.tables, self.alphabet, self.rng, self.draw = tables, alphabet, rng, rng.random
+
+    def pick(self, compensable: bool, remaining: int, par_depth: int):
+        nodes, cum, total, hi = self.tables[compensable, remaining, par_depth]
+        return nodes[bisect(cum, self.draw() * total, 0, hi)]
+
+    def std(self, remaining: int, par_depth: int) -> StandardTerm:
+        ctor = self.pick(False, remaining, par_depth)
+        if ctor is Atom:
+            return Atom(self.rng.choice(self.alphabet))
+        if ctor is Block:
+            return Block(self.comp(remaining - 1, par_depth))
+        if not isinstance(ctor, type):  # SKIP, THROW or YIELD
+            return ctor
+        par_depth += ctor is Par
+        return ctor(self.std(remaining - 1, par_depth), self.std(remaining - 1, par_depth))
+
+    def comp(self, remaining: int, par_depth: int) -> CompensableTerm:
+        ctor = Pair if remaining <= 1 else self.pick(True, remaining, par_depth)
+        if ctor is Pair:
+            budget = max(remaining - 1, 1)
+            return Pair(self.std(budget, par_depth), self.std(budget, par_depth))
+        par_depth += ctor is CPar
+        return ctor(self.comp(remaining - 1, par_depth), self.comp(remaining - 1, par_depth))
 
 
 # ---------------------------------------------------------------------------

@@ -314,6 +314,26 @@ def test_run_restores_the_collector(argv, code, collecting):
         gc.enable()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["prop", "--max-depth", "0", "--cases", "2"],
+        ["enumerate", "--max-ops", "-1"],
+        ["prop", "--cases", "-3"],
+        ["prop", "--lemmas", "--lemma-cases", "-1"],
+        ["enumerate", "--max-ops", "1", "--kind", "comp", "--max-pair-ops", "-1"],
+        ["prop", "--cases", "2", "--state-cap", "-1"],
+    ],
+    ids=["max-depth", "max-ops", "cases", "lemma-cases", "max-pair-ops", "state-cap"],
+)
+def test_out_of_range_numeric_option_is_a_usage_error(argv):
+    code, out, err = invoke(argv)
+    assert code == 2
+    assert out == ""
+    assert "usage:" in err and "must be at least" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("collecting", [True, False], ids=["gc-on", "gc-off"])
 def test_run_restores_the_collector_when_a_command_raises(monkeypatch, collecting):
     seen = []

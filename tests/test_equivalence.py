@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 import ccsp
 from ccsp import denotational
 from ccsp.equivalence import (
+    DEFAULT_WEIGHTS,
     GenConfig,
     LAWS,
     check_compensable,
@@ -153,6 +154,136 @@ def test_gen_config_validation():
         GenConfig(seed=0, max_depth=2, alphabet=("a",), kind="standard", weights={"par": 0})
     with pytest.raises(ValueError):
         GenConfig(seed=0, max_depth=2, alphabet=("a",), kind="standard", weights={"aux": 1})
+    for w in (float("inf"), float("nan"), 10**400):
+        with pytest.raises(ValueError):
+            GenConfig(seed=0, max_depth=4, alphabet=("a",), kind="standard", weights={"cpar": w})
+
+
+# The generator as it was written on `random.choices`, kept verbatim as the
+# reference that `gen_term`'s precomputed tables must reproduce term for term.
+_STD_LEAVES = ("atom", "skip", "throw", "yield")
+_STD_INTERNAL = ("seq", "choice", "par", "interrupt", "block")
+_COMP_INTERNAL = ("cseq", "cchoice", "cpar")
+
+
+def reference_gen_term(cfg: GenConfig):
+    rng = random.Random(cfg.seed)
+    weights = dict(DEFAULT_WEIGHTS)
+    if cfg.weights:
+        weights.update(cfg.weights)
+    if cfg.kind == "standard":
+        return _gen_std(rng, cfg, weights, cfg.max_depth, 0)
+    return _gen_comp(rng, cfg, weights, cfg.max_depth, 0)
+
+
+def _pick(rng, choices: list[str], weights: list[float]) -> str:
+    return rng.choices(choices, weights=weights, k=1)[0]
+
+
+def _leaf_bias(cfg: GenConfig, remaining: int) -> float:
+    depth = cfg.max_depth - remaining  # 0 at the root
+    return (depth + 1) ** 2 / 4.0
+
+
+def _gen_std(rng, cfg, weights, remaining: int, par_depth: int):
+    if remaining <= 1:
+        kind = _pick(rng, list(_STD_LEAVES), [weights[k] for k in _STD_LEAVES])
+    else:
+        bias = _leaf_bias(cfg, remaining)
+        par_decay = 3.0 ** par_depth
+        names = list(_STD_LEAVES) + list(_STD_INTERNAL)
+        ws = [weights[k] * bias for k in _STD_LEAVES] + [
+            weights[k] / (par_decay if k == "par" else 1.0) for k in _STD_INTERNAL
+        ]
+        kind = _pick(rng, names, ws)
+    if kind == "atom":
+        return Atom(rng.choice(cfg.alphabet))
+    if kind == "skip":
+        return SKIP
+    if kind == "throw":
+        return THROW
+    if kind == "yield":
+        return YIELD
+    if kind == "block":
+        return Block(_gen_comp(rng, cfg, weights, remaining - 1, par_depth))
+    left = _gen_std(rng, cfg, weights, remaining - 1, par_depth + (kind == "par"))
+    right = _gen_std(rng, cfg, weights, remaining - 1, par_depth + (kind == "par"))
+    if kind == "seq":
+        return Seq(left, right)
+    if kind == "choice":
+        return Choice(left, right)
+    if kind == "par":
+        return Par(left, right)
+    return Interrupt(left, right)
+
+
+def _gen_comp(rng, cfg, weights, remaining: int, par_depth: int):
+    if remaining <= 1:
+        kind = "pair"
+    else:
+        bias = _leaf_bias(cfg, remaining)
+        par_decay = 3.0 ** par_depth
+        names = ["pair"] + list(_COMP_INTERNAL)
+        ws = [weights["pair"] * bias] + [
+            weights[k] / (par_decay if k == "cpar" else 1.0) for k in _COMP_INTERNAL
+        ]
+        kind = _pick(rng, names, ws)
+    if kind == "pair":
+        budget = max(remaining - 1, 1)
+        return Pair(
+            _gen_std(rng, cfg, weights, budget, par_depth),
+            _gen_std(rng, cfg, weights, budget, par_depth),
+        )
+    left = _gen_comp(rng, cfg, weights, remaining - 1, par_depth + (kind == "cpar"))
+    right = _gen_comp(rng, cfg, weights, remaining - 1, par_depth + (kind == "cpar"))
+    if kind == "cseq":
+        return CSeq(left, right)
+    if kind == "cchoice":
+        return CChoice(left, right)
+    return CPar(left, right)
+
+
+def _random_weight(rng: random.Random):
+    roll = rng.random()
+    if roll < 0.03:
+        return 1e308  # weight * bias overflows: `choices` raises ValueError
+    if roll < 0.06:
+        return 5e-324  # weight / 3 ** par_depth underflows to 0.0
+    if roll < 0.2:
+        return rng.randint(1, 4)  # integer weights sum exactly
+    return rng.uniform(0.05, 1.0) if roll < 0.6 else rng.uniform(1.0, 12.0)
+
+
+def _outcome(gen, cfg: GenConfig):
+    try:
+        return gen(cfg)
+    except ValueError:
+        return ValueError
+
+
+def test_gen_term_matches_choices_reference():
+    rng = random.Random(20261018)
+    names = sorted(DEFAULT_WEIGHTS)
+    kinds, depths, errors = set(), set(), 0
+    for _ in range(6000):
+        weights = None
+        if rng.random() < 0.6:
+            chosen = rng.sample(names, rng.randint(1, len(names)))
+            weights = {name: _random_weight(rng) for name in chosen}
+        cfg = GenConfig(
+            seed=rng.getrandbits(63),
+            max_depth=rng.randint(1, 7),
+            alphabet=tuple(rng.sample(("a", "b", "c"), rng.randint(1, 3))),
+            kind=rng.choice(("standard", "compensable")),
+            weights=weights,
+        )
+        expected = _outcome(reference_gen_term, cfg)
+        assert _outcome(gen_term, cfg) is expected, cfg
+        kinds.add(cfg.kind)
+        depths.add(cfg.max_depth)
+        errors += expected is ValueError
+    assert kinds == {"standard", "compensable"} and depths == set(range(1, 8))
+    assert 0 < errors < 600
 
 
 def test_gen_compensable_never_contains_aux():
