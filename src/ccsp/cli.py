@@ -92,6 +92,14 @@ def _print_set(traces) -> None:
         print(t)
 
 
+def _print_witnesses(verdict: Verdict) -> None:
+    """The members one semantics has and the other lacks, indented."""
+    for name, traces in (("operational", verdict.only_operational),
+                         ("denotational", verdict.only_denotational)):
+        for t in sorted(traces, key=by_sort_key):
+            print(f"  only {name}: {t}")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # Built once: building it cost more than a small `check`, and parsing
@@ -186,20 +194,22 @@ def run(argv: Sequence[str] | None = None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return _dispatch(args)
+        return _COMMANDS[args.command](args)
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2
     except StateCapExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except RecursionError:
+        # The operational semantics recurses once per step of a run, which
+        # the parser's depth limit does not bound (a balanced tree of 1 024
+        # events is 11 deep).
+        print("error: term too large to explore", file=sys.stderr)
+        return 1
     finally:
         if collecting:
             gc.enable()
-
-
-def _dispatch(args: argparse.Namespace) -> int:
-    return _COMMANDS[args.command](args)
 
 
 def _validated_term(args):
@@ -295,10 +305,7 @@ def _cmd_prop(args) -> int:
         print(f"{marker} {case.index:04d} {case.kind} {pretty_print(case.term)}")
         if not ok:
             failed = True
-            for t in sorted(case.verdict.only_operational, key=by_sort_key):
-                print(f"  only operational: {t}")
-            for t in sorted(case.verdict.only_denotational, key=by_sort_key):
-                print(f"  only denotational: {t}")
+            _print_witnesses(case.verdict)
         if not case.healthy:
             failed = True
             print("  healthiness violated")
@@ -359,10 +366,7 @@ def _cmd_enumerate(args) -> int:
         else:
             mismatches += 1
             print(f"MISMATCH {pretty_print(term)}")
-            for t in sorted(verdict.only_operational, key=by_sort_key):
-                print(f"  only operational: {t}")
-            for t in sorted(verdict.only_denotational, key=by_sort_key):
-                print(f"  only denotational: {t}")
+            _print_witnesses(verdict)
         if not check_healthiness(term):
             unhealthy += 1
             print(f"UNHEALTHY {pretty_print(term)}")

@@ -1,22 +1,24 @@
-"""Recursive-descent parser for the concrete cCSP syntax.
+"""Precedence-climbing parser for the concrete cCSP syntax.
 
-Grammar (loosest binding first; all binary operators left-associative):
+Grammar:
 
-    std   := cho ("||" cho)*
-    cho   := int ("[]" int)*
-    int   := seq ("|>" seq)*
-    seq   := atom (";" atom)*
+    std   := atom (BINOP atom)*
     atom  := IDENT | "SKIP" | "THROW" | "YIELD" | "(" std ")" | "[" comp "]"
 
-    comp  := ccho ("||" ccho)*
-    ccho  := cseq ("[]" cseq)*     (no interrupt handler on compensable terms)
-    cseq  := pair (";" pair)*
+    comp  := pair (BINOP pair)*     (only operators with a compensable form)
     pair  := atom "%" atom | "SKIPP" | "THROWW" | "YIELDD" | "(" comp ")"
 
-Binding strength, tightest first: `%`, `;`, `|>`, `[]`, `||`.  `%` is
-non-associative and its operands are standard atoms, so compound operands
-must be parenthesized.  Derived constants desugar at parse time: SKIPP,
-YIELDD and THROWW become compensation pairs over SKIP.
+The binary operators, their binding order and their constructors are
+`ccsp.terms.BINARY_OPERATORS`, which the printer reads too.  One loop,
+`_Parser.binary`, parses both grammars: it reads an operand, then, while
+the next token is an operator of that grammar binding at least as tightly
+as the caller asked, consumes it and reads the right operand as an
+expression of strictly tighter operators, so every operator is
+left-associative.  `|>` has no compensable form, so it ends a compensable
+term.  `%` binds tightest of all; it is non-associative and its operands
+are standard atoms, so compound operands must be parenthesized.  Derived
+constants desugar at parse time: SKIPP, YIELDD and THROWW become
+compensation pairs over SKIP.
 
 Brackets, `(` and `[` together, nest at most `MAX_NESTING` deep, and a
 parsed term is at most `MAX_DEPTH` constructors deep; deeper input raises
@@ -27,32 +29,33 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .terms import (
+    BINARY_OPERATORS,
+    COMPENSABLE_KEYWORDS,
     Atom,
     Block,
-    CChoice,
     CompensableTerm,
-    CPar,
-    CSeq,
-    Choice,
-    Interrupt,
     Pair,
-    Par,
     RESERVED_WORDS,
-    WORD,
-    Seq,
-    SKIP,
+    STANDARD_KEYWORDS,
     StandardTerm,
-    THROW,
-    YIELD,
-    desugar_alias,
+    WORD,
     term_depth,
 )
 
-_OPERATORS = ("||", "|>", "[]", ";", "%", "(", ")", "[", "]")
+#: For the standard and the compensable grammar: operator symbol ->
+#: (binding level, loosest 0, constructor), for the operators it has.
+_INFIX = tuple(
+    {op: (level, ctors[k]) for level, (op, *ctors) in enumerate(BINARY_OPERATORS) if ctors[k]}
+    for k in (0, 1)
+)
 
-#: Deepest accepted nesting of `(` and `[`.  Each level costs the parser
-#: about six stack frames, so this keeps far below Python's default
-#: recursion limit of 1000.
+# Binary operators first, so `[]` is read before `[`.
+_OPERATORS = (*(op for op, *_ in BINARY_OPERATORS), "%", "(", ")", "[", "]")
+
+#: Deepest accepted nesting of `(` and `[`.  Each level costs the parser two
+#: stack frames, and up to seven when operators of rising binding strength
+#: lead up to the bracket (656 frames at this limit), so this keeps below
+#: Python's default recursion limit of 1000.
 MAX_NESTING = 100
 
 #: Deepest accepted term, as `term_depth` measures it.  Both semantics
@@ -151,60 +154,33 @@ class _Parser:
         found = repr(tok.text) if tok.kind != "end" else "end of input"
         raise ParseError(tok.pos, expected, found)
 
-    # -- standard terms ----------------------------------------------------
+    # -- grammar -----------------------------------------------------------
 
-    def std(self) -> StandardTerm:
-        left = self.std_cho()
-        while self.at_op("||"):
+    def binary(self, compensable: bool, min_level: int = 0) -> StandardTerm | CompensableTerm:
+        """Operands joined by the grammar's operators of at least `min_level`."""
+        left = self.pair() if compensable else self.atom()
+        infix = _INFIX[compensable]
+        while (op := infix.get(self.peek().text)) and op[0] >= min_level:
             self.advance()
-            left = Par(left, self.std_cho())
+            left = op[1](left, self.binary(compensable, op[0] + 1))
         return left
 
-    def std_cho(self) -> StandardTerm:
-        left = self.std_int()
-        while self.at_op("[]"):
-            self.advance()
-            left = Choice(left, self.std_int())
-        return left
-
-    def std_int(self) -> StandardTerm:
-        left = self.std_seq()
-        while self.at_op("|>"):
-            self.advance()
-            left = Interrupt(left, self.std_seq())
-        return left
-
-    def std_seq(self) -> StandardTerm:
-        left = self.std_atom()
-        while self.at_op(";"):
-            self.advance()
-            left = Seq(left, self.std_atom())
-        return left
-
-    def std_atom(self) -> StandardTerm:
+    def atom(self) -> StandardTerm:
         tok = self.peek()
         if tok.kind == "ident":
             self.advance()
             return Atom(tok.text)
-        if tok.kind == "keyword":
-            if tok.text == "SKIP":
-                self.advance()
-                return SKIP
-            if tok.text == "THROW":
-                self.advance()
-                return THROW
-            if tok.text == "YIELD":
-                self.advance()
-                return YIELD
-            self.fail("a standard term")
+        if tok.text in STANDARD_KEYWORDS:
+            self.advance()
+            return STANDARD_KEYWORDS[tok.text]
         if tok.kind == "op" and tok.text in ("(", "["):
-            # `comp_pair` may read the same bracket twice.  What it holds
-            # depends only on where it starts (the nesting depth there is the
-            # same on every path), so each is parsed once.
+            # `pair` may read the same bracket twice.  What it holds depends
+            # only on where it starts (the nesting depth there is the same on
+            # every path), so each is parsed once.
             start = self.index
             if start not in self.brackets:
                 self.open_bracket()
-                inner = self.std() if tok.text == "(" else Block(self.comp())
+                inner = self.binary(False) if tok.text == "(" else Block(self.binary(True))
                 self.close_bracket(")" if tok.text == "(" else "]")
                 self.brackets[start] = inner, self.index
             inner, self.index = self.brackets[start]
@@ -212,34 +188,11 @@ class _Parser:
         self.fail("a standard term")
         raise AssertionError("unreachable")
 
-    # -- compensable terms -------------------------------------------------
-
-    def comp(self) -> CompensableTerm:
-        left = self.comp_cho()
-        while self.at_op("||"):
-            self.advance()
-            left = CPar(left, self.comp_cho())
-        return left
-
-    def comp_cho(self) -> CompensableTerm:
-        left = self.comp_seq()
-        while self.at_op("[]"):
-            self.advance()
-            left = CChoice(left, self.comp_seq())
-        return left
-
-    def comp_seq(self) -> CompensableTerm:
-        left = self.comp_pair()
-        while self.at_op(";"):
-            self.advance()
-            left = CSeq(left, self.comp_pair())
-        return left
-
-    def comp_pair(self) -> CompensableTerm:
+    def pair(self) -> CompensableTerm:
         tok = self.peek()
-        if tok.kind == "keyword" and tok.text in ("SKIPP", "THROWW", "YIELDD"):
+        if tok.text in COMPENSABLE_KEYWORDS:
             self.advance()
-            return desugar_alias(tok.text)
+            return COMPENSABLE_KEYWORDS[tok.text]
         if self.at_op("("):
             # Both `(a ; b) % c` and `(a % b)` start here; try the pair
             # reading first and fall back to a parenthesized compensable.
@@ -249,17 +202,17 @@ class _Parser:
             except ParseError:
                 self.index, self.depth = mark
             self.open_bracket()
-            inner = self.comp()
+            inner = self.binary(True)
             self.close_bracket(")")
             return inner
         return self.pair_of_atoms()
 
     def pair_of_atoms(self) -> CompensableTerm:
-        forward = self.std_atom()
+        forward = self.atom()
         if not self.at_op("%"):
             self.fail("'%'")
         self.advance()
-        return Pair(forward, self.std_atom())
+        return Pair(forward, self.atom())
 
 
 def _finish(p: _Parser, term):
@@ -274,10 +227,10 @@ def _finish(p: _Parser, term):
 def parse_standard(text: str) -> StandardTerm:
     """Parse a standard process term, consuming the whole input."""
     p = _Parser(text)
-    return _finish(p, p.std())
+    return _finish(p, p.binary(False))
 
 
 def parse_compensable(text: str) -> CompensableTerm:
     """Parse a compensable process term, consuming the whole input."""
     p = _Parser(text)
-    return _finish(p, p.comp())
+    return _finish(p, p.binary(True))

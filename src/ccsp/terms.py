@@ -58,9 +58,6 @@ class Terminal(Enum):
 _GLYPHS = {Terminal.TICK: "*", Terminal.YIELD: "?", Terminal.THROW: "!"}
 _BY_GLYPH = {g: t for t, g in _GLYPHS.items()}
 
-#: Words that can never be event names.
-RESERVED_WORDS = frozenset({"SKIP", "THROW", "YIELD", "SKIPP", "THROWW", "YIELDD"})
-
 #: Event names and keywords, as the parser reads them: an ASCII letter, then
 #: ASCII letters, digits, underscores or primes.
 WORD = re.compile(r"[A-Za-z][A-Za-z0-9_']*")
@@ -95,15 +92,7 @@ class _Node:
     _fields: tuple[str, ...] = ()
     _pool: "weakref.WeakValueDictionary"
 
-    def __new__(cls, *args, **kwargs):
-        if kwargs:
-            names = cls._fields
-            try:
-                args = args + tuple(kwargs.pop(n) for n in names[len(args):])
-            except KeyError as e:
-                raise TypeError(f"{cls.__name__} is missing field {e}") from None
-            if kwargs:
-                raise TypeError(f"{cls.__name__} got unexpected fields {sorted(kwargs)}")
+    def __new__(cls, *args):
         if len(args) != len(cls._fields):
             raise TypeError(
                 f"{cls.__name__} takes {len(cls._fields)} field(s), got {len(args)}"
@@ -256,6 +245,16 @@ THROW = Throw()
 YIELD = Yield()
 NULL = Null()
 
+#: Keywords of the standard constants, and of the compensable constants,
+#: which desugar at parse time to pairs over SKIP.
+STANDARD_KEYWORDS = {"SKIP": SKIP, "THROW": THROW, "YIELD": YIELD}
+COMPENSABLE_KEYWORDS = {
+    "SKIPP": Pair(SKIP, SKIP), "THROWW": Pair(THROW, SKIP), "YIELDD": Pair(YIELD, SKIP),
+}
+
+#: Words that can never be event names.
+RESERVED_WORDS = frozenset(STANDARD_KEYWORDS.keys() | COMPENSABLE_KEYWORDS.keys())
+
 _STANDARD_CLASSES = (Atom, Skip, Throw, Yield, Seq, Choice, Par, Interrupt, Block, Null)
 _COMPENSABLE_CLASSES = (Pair, CSeq, CChoice, CPar, Aux)
 
@@ -349,27 +348,32 @@ def validate_user_term(
 
 def desugar_alias(name: str) -> CompensableTerm:
     """Expand a derived compensable constant into its compensation pair."""
-    if name == "SKIPP":
-        return Pair(SKIP, SKIP)
-    if name == "YIELDD":
-        return Pair(YIELD, SKIP)
-    if name == "THROWW":
-        return Pair(THROW, SKIP)
-    raise ValueError(f"unknown compensable alias: {name!r}")
+    try:
+        return COMPENSABLE_KEYWORDS[name]
+    except KeyError:
+        raise ValueError(f"unknown compensable alias: {name!r}") from None
 
 
 # ---------------------------------------------------------------------------
 # Pretty-printing
 # ---------------------------------------------------------------------------
 
-# Binding strength, loosest first.  `%` operands are restricted to the atom
-# level by the grammar, so pairs parenthesize any operator operand.
-_LEVEL_PAR = 10
-_LEVEL_CHOICE = 20
-_LEVEL_INTERRUPT = 30
-_LEVEL_SEQ = 40
-_LEVEL_PAIR = 50
-_LEVEL_ATOM = 60
+#: The binary operators of the concrete syntax, loosest binding first, each
+#: with its standard and compensable constructor (None: standard only).  All
+#: are left-associative.  This is the one statement of their symbols and
+#: binding order: the parser's precedence loop and the printer both read it.
+BINARY_OPERATORS = (
+    ("||", Par, CPar),
+    ("[]", Choice, CChoice),
+    ("|>", Interrupt, None),
+    (";", Seq, CSeq),
+)
+
+# `%` binds tighter than every binary operator, and its operands are
+# restricted to the atom level by the grammar, so pairs parenthesize any
+# operator operand.
+_LEVEL_PAIR = len(BINARY_OPERATORS) + 1
+_LEVEL_ATOM = _LEVEL_PAIR + 1
 
 
 def pretty_print(term: StandardTerm | CompensableTerm) -> str:
@@ -397,17 +401,17 @@ def _binary(op: str, level: int) -> tuple[int, tuple]:
 # field rendered at that minimum level.
 _SYNTAX: dict[type, tuple[int, tuple]] = {
     Atom: (_LEVEL_ATOM, (("event", 0),)),
-    Skip: (_LEVEL_ATOM, ("SKIP",)),
-    Throw: (_LEVEL_ATOM, ("THROW",)),
-    Yield: (_LEVEL_ATOM, ("YIELD",)),
+    **{type(term): (_LEVEL_ATOM, (word,)) for word, term in STANDARD_KEYWORDS.items()},
     Null: (_LEVEL_ATOM, ("0",)),
     Block: (_LEVEL_ATOM, ("[ ", ("body", 0), " ]")),
     Aux: (_LEVEL_ATOM, ("<", ("rest", 0), ", ", ("stored", 0), ">")),
     Pair: (_LEVEL_PAIR, (("forward", _LEVEL_ATOM), " % ", ("compensation", _LEVEL_ATOM))),
-    Interrupt: _binary("|>", _LEVEL_INTERRUPT),
-    **dict.fromkeys((Seq, CSeq), _binary(";", _LEVEL_SEQ)),
-    **dict.fromkeys((Choice, CChoice), _binary("[]", _LEVEL_CHOICE)),
-    **dict.fromkeys((Par, CPar), _binary("||", _LEVEL_PAR)),
+    **{
+        cls: _binary(op, level)
+        for level, (op, *classes) in enumerate(BINARY_OPERATORS, 1)
+        for cls in classes
+        if cls is not None
+    },
 }
 
 

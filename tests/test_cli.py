@@ -75,6 +75,25 @@ def test_depth_limit_on_cli_input(shape, command):
     assert f"parse error: at offset 0: expected a term at most {MAX_DEPTH} deep" in err
 
 
+def _balanced_seq(n: int) -> str:
+    """A balanced `;` tree of 2**n events, n + 1 constructors deep."""
+    return "a" if n == 0 else f"({_balanced_seq(n - 1)} ; {_balanced_seq(n - 1)})"
+
+
+@pytest.mark.parametrize(
+    "argv", [["check"], ["traces", "--semantics", "operational"]], ids=["check", "traces"]
+)
+def test_term_too_large_to_explore_exits_one(argv):
+    # Shallow enough for the parser, but the operational semantics recurses
+    # once per step of a run: 1 024 events used to end in a RecursionError.
+    text = _balanced_seq(10)
+    assert term_depth(parse_standard(text)) == 11
+    code, out, err = invoke([*argv, text])
+    assert (code, out) == (1, "")
+    assert err == "error: term too large to explore\n"
+    assert invoke(["check", "a ; b"])[0] == 0
+
+
 def test_usage_error_exits_two():
     code, _, _ = invoke(["check"])
     assert code == 2
@@ -338,11 +357,11 @@ def test_out_of_range_numeric_option_is_a_usage_error(argv):
 def test_run_restores_the_collector_when_a_command_raises(monkeypatch, collecting):
     seen = []
 
-    def failing_dispatch(args):
+    def failing_check(args):
         seen.append(gc.isenabled())
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(cli, "_dispatch", failing_dispatch)
+    monkeypatch.setitem(cli._COMMANDS, "check", failing_check)
     (gc.enable if collecting else gc.disable)()
     try:
         with pytest.raises(RuntimeError, match="boom"):

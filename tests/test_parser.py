@@ -1,9 +1,11 @@
+import json
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from ccsp.equivalence import GenConfig, gen_term
+from ccsp.equivalence import GenConfig, enumerate_terms, gen_term
 from ccsp.parser import MAX_DEPTH, MAX_NESTING, ParseError, parse_compensable, parse_standard
 from ccsp.terms import (
     SKIP,
@@ -93,20 +95,20 @@ def test_blocks_nest():
     assert term is Block(Pair(Block(Pair(A, B)), SKIP))
 
 
-@pytest.mark.parametrize(
-    "text,offset",
-    [
-        ("0", 0),  # the null process is not part of the syntax
-        ("a ;", 3),  # missing operand
-        ("a ; ; b", 4),
-        ("(a ; b", 6),  # unclosed paren
-        ("a $ b", 2),  # unknown operator
-        ("a [] [] b", 5),
-        ("SKIPP", 0),  # compensable-only keyword in standard position
-        ("\u00c0", 0),  # event names are ASCII; this was a ValueError
-        ("a\u00b2", 1),
-    ],
-)
+MALFORMED = [
+    ("0", 0),  # the null process is not part of the syntax
+    ("a ;", 3),  # missing operand
+    ("a ; ; b", 4),
+    ("(a ; b", 6),  # unclosed paren
+    ("a $ b", 2),  # unknown operator
+    ("a [] [] b", 5),
+    ("SKIPP", 0),  # compensable-only keyword in standard position
+    ("\u00c0", 0),  # event names are ASCII; this was a ValueError
+    ("a\u00b2", 1),
+]
+
+
+@pytest.mark.parametrize("text,offset", MALFORMED)
 def test_parse_errors_point_at_first_offending_lexeme(text, offset):
     with pytest.raises(ParseError) as exc:
         parse_standard(text)
@@ -199,3 +201,52 @@ def test_parse_inverts_pretty_print(seed, depth, kind):
     term = gen_term(cfg)
     parse = parse_standard if kind == "standard" else parse_compensable
     assert parse(pretty_print(term)) is term
+
+
+GOLDEN = Path(__file__).parent / "data" / "parse_errors_golden.txt"
+
+#: Every one- and two-lexeme input over these, space-joined, is pinned.
+LEXEMES = ("a", "a'", ";", "[]", "||", "|>", "%", "(", ")", "[", "]",
+           "SKIP", "YIELD", "SKIPP", "THROWW", "0", "$")
+
+
+def golden_inputs() -> list[str]:
+    texts = [*LEXEMES, *(f"{x} {y}" for x in LEXEMES for y in LEXEMES)]
+    texts += [text for text, _ in MALFORMED if text not in texts]
+    return texts
+
+
+def golden_lines() -> list[str]:
+    """Per input and grammar: the rendered term, or the error's three fields."""
+    lines = []
+    for text in golden_inputs():
+        for kind, parse in (("std", parse_standard), ("comp", parse_compensable)):
+            try:
+                result = pretty_print(parse(text))
+            except ParseError as e:
+                result = [e.position, e.expected, e.found]
+            lines.append(json.dumps([kind, text, result]))
+    return lines
+
+
+def test_parse_results_match_golden():
+    # Written by the parser before the operator table replaced its per-level
+    # methods.  Regenerate with:
+    #   PYTHONPATH=src python3 -c "import tests.test_parser as t; t.write_golden()"
+    assert golden_lines() == GOLDEN.read_text(encoding="utf-8").splitlines()
+
+
+def write_golden() -> None:
+    GOLDEN.write_text("\n".join(golden_lines()) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "kind,max_ops,count",
+    [("standard", 2, 8255), ("compensable", 1, 3150)],
+)
+def test_parse_inverts_pretty_print_exhaustively(kind, max_ops, count):
+    parse = parse_standard if kind == "standard" else parse_compensable
+    terms = list(enumerate_terms(max_ops, ("a", "b"), kind))
+    assert len(terms) == count
+    for term in terms:
+        assert parse(pretty_print(term)) is term

@@ -277,3 +277,10 @@ def test_trace_token_round_trip():
         trace_from_tokens(["a", "b"])  # missing terminal glyph
     with pytest.raises(ValueError):
         trace_from_tokens([])
+
+
+def test_terms_are_built_positionally():
+    with pytest.raises(TypeError, match=r"Seq takes 2 field\(s\), got 1"):
+        Seq(A)
+    with pytest.raises(TypeError):
+        Seq(left=A, right=A)

@@ -1,0 +1,78 @@
+"""Compare CLI transcripts of two checkouts, byte for byte.
+
+    python3 tools/transcripts.py PARENT CHANGE
+
+PARENT and CHANGE are two checkouts of the repository.  Each argv of a
+fixed list runs as `python3 -m ccsp.cli ARGV` in a fresh process, once
+against each checkout's `src/` (PYTHONPATH=<checkout>/src), two argvs at a
+time.  The exit code, stdout and stderr must match exactly.  Prints `same`
+or `DIFF` per argv and exits 1 on any difference.  The list: two `enumerate --check` runs, a seeded
+`prop --lemmas` campaign, `example warehouse`, then `check`, `traces`,
+`traces --format machine` and `lts` on every term of
+`tests/data/pinned_values.txt`, and `check` on every input of
+`tests/data/parse_errors_golden.txt`; both files are read from the
+checkout this script sits in.  Standard library only.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shlex
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+DATA = Path(__file__).resolve().parents[1] / "tests" / "data"
+JOBS = 2
+
+
+def argvs() -> list[list[str]]:
+    runs = [
+        ["enumerate", "--max-ops", "2", "--alphabet", "a,b", "--check"],
+        ["enumerate", "--max-ops", "1", "--alphabet", "a,b", "--kind", "comp", "--check"],
+        ["prop", "--seed", "42", "--cases", "2000", "--max-depth", "5", "--lemmas"],
+        ["example", "warehouse"],
+    ]
+    for line in (DATA / "pinned_values.txt").read_text(encoding="utf-8").splitlines():
+        if line.strip() and not line.startswith("#"):
+            kind, term, _ = (part.strip() for part in line.split("::"))
+            for command in (["check"], ["traces"], ["traces", "--format", "machine"], ["lts"]):
+                runs.append([*command, "--kind", kind, term])
+    for line in (DATA / "parse_errors_golden.txt").read_text(encoding="utf-8").splitlines():
+        kind, text, _ = json.loads(line)
+        runs.append(["check", "--kind", kind, text])
+    return runs
+
+
+def transcript(checkout: Path, argv: list[str]) -> tuple[int, bytes, bytes]:
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    proc = subprocess.run([sys.executable, "-m", "ccsp.cli", *argv], env=env,
+                          capture_output=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("parent", type=Path)
+    ap.add_argument("change", type=Path)
+    args = ap.parse_args()
+    sides = (args.parent.resolve(), args.change.resolve())
+
+    def compare(argv: list[str]) -> bool:
+        return transcript(sides[0], argv) == transcript(sides[1], argv)
+
+    runs = argvs()
+    differ = 0
+    with ThreadPoolExecutor(JOBS) as pool:
+        for argv, same in zip(runs, pool.map(compare, runs)):
+            differ += not same
+            print(f"{'same' if same else 'DIFF'} {shlex.join(argv)}", flush=True)
+    print(f"{len(runs) - differ}/{len(runs)} same")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
