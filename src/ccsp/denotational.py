@@ -48,6 +48,7 @@ from .terms import (
     TracePair,
     Yield,
     is_compensable,
+    unchecked_trace,
 )
 
 _TICK, _THROW, _YIELD = Terminal.TICK, Terminal.THROW, Terminal.YIELD
@@ -81,14 +82,14 @@ def seq_traces(p: Trace, q: Trace) -> Trace:
     """Sequential composition on traces: continue with `q` only after a
     successful `p`, otherwise the observation is just `p`."""
     if p[1] is _TICK:
-        return Trace(p[0] + q[0], q[1])
+        return unchecked_trace((p[0] + q[0], q[1]))
     return p
 
 
 def interrupt_traces(p: Trace, q: Trace) -> Trace:
     """Interrupt handling on traces: `q` runs when `p` throws."""
     if p[1] is _THROW:
-        return Trace(p[0] + q[0], q[1])
+        return unchecked_trace((p[0] + q[0], q[1]))
     return p
 
 
@@ -116,7 +117,7 @@ def par_traces(p: Trace, q: Trace) -> frozenset[Trace]:
     """Parallel composition on traces: every shuffle of the event parts,
     capped with the synchronised terminal."""
     return frozenset(
-        Trace(events, omega)
+        unchecked_trace((events, omega))
         for omega in sync_terminals(p[1], q[1])
         for events in interleave_events(p[0], q[0])
     )
@@ -137,10 +138,10 @@ def block_traces(p: Trace, compensation: Trace) -> frozenset[Trace]:
     on (hiding the interrupt), and a yielding forward trace contributes
     nothing.
     """
-    if p.terminal is _TICK:
+    if p[1] is _TICK:
         return frozenset((p,))
-    if p.terminal is _THROW:
-        return frozenset((Trace(p.events + compensation.events, compensation.terminal),))
+    if p[1] is _THROW:
+        return frozenset((unchecked_trace((p[0] + compensation[0], compensation[1])),))
     return frozenset()
 
 

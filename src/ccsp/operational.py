@@ -47,7 +47,7 @@ from .terms import (
     Yield,
     is_compensable,
     pretty_print,
-    term_weight,
+    unchecked_trace,
 )
 
 DEFAULT_STATE_CAP = 100_000
@@ -147,8 +147,8 @@ def step_standard(term: StandardTerm) -> tuple[Step, ...]:
             raise ValueError("the null process has no transitions")
         case _:
             raise TypeError(f"not a standard term: {term!r}")
-    w = term_weight(term)
-    assert all(term_weight(succ) < w for _, succ in out), "step must shrink the term"
+    w = term._weight
+    assert all(succ._weight < w for _, succ in out), "step must shrink the term"
     steps = tuple(out)
     _STEPS_STD[term] = steps
     return steps
@@ -210,8 +210,8 @@ def step_compensable(term: CompensableTerm) -> tuple[Step, ...]:
                     out[label, Seq(succ, stored)] = None
         case _:
             raise TypeError(f"not a compensable term: {term!r}")
-    w = term_weight(term)
-    assert all(term_weight(succ) < w for _, succ in out), "step must shrink the term"
+    w = term._weight
+    assert all(succ._weight < w for _, succ in out), "step must shrink the term"
     steps = tuple(out)
     _STEPS_COMP[term] = steps
     return steps
@@ -272,9 +272,9 @@ def _dt_std(term: StandardTerm, budget: _Budget) -> frozenset[Trace]:
     for label, succ in step_standard(term):
         if isinstance(label, str):
             for events, terminal in _dt_std(succ, budget):
-                out.add(Trace((label,) + events, terminal))
+                out.add(unchecked_trace(((label,) + events, terminal)))
         else:
-            out.add(Trace((), label))
+            out.add(unchecked_trace(((), label)))
     result = frozenset(out)
     _DT_STD[term] = result
     return result
@@ -297,9 +297,9 @@ def _forward(term: CompensableTerm, budget: _Budget) -> frozenset[tuple[Trace, S
     for label, succ in step_compensable(term):
         if isinstance(label, str):
             for (events, terminal), banked in _forward(succ, budget):
-                out.add((Trace((label,) + events, terminal), banked))
+                out.add((unchecked_trace(((label,) + events, terminal)), banked))
         else:
-            out.add((Trace((), label), succ))
+            out.add((unchecked_trace(((), label)), succ))
     result = frozenset(out)
     _FORWARD[term] = result
     return result

@@ -9,16 +9,22 @@ events capped by exactly one terminal marker (success, throw or yield).
 Terms are immutable and hash-consed (interned): structurally equal
 constructions yield the same instance, so equality and hashing are both by
 identity, and the memo tables driving exhaustive exploration stay cheap.
-Construction is the only supported way to obtain a term.  Interning also
-sizes the term: its operator count and its weight are its class's share
-plus its operands' (already computed) sizes, so `term_op_count` and
-`term_weight` are attribute reads.
+Construction is the only supported way to obtain a term.  Each node class
+has one constructor for its arity and a pool: a plain dict from the
+operands to a weak reference to the live node built from them.  The
+reference remembers its key, and when the node dies its callback removes
+the entry, unless a newer reference has taken its place; so a pool holds
+only live terms, and a term rebuilt after its death is again the one
+instance.  Interning also sizes the term: its operator count, weight and
+depth are its class's share plus its operands' (already computed) sizes,
+so `term_op_count`, `term_weight` and `term_depth` are attribute reads.
 """
 from __future__ import annotations
 
 import re
 import weakref
 from enum import Enum
+from functools import partial
 from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, Union
 
@@ -88,34 +94,9 @@ class _Node:
     ``__slots__`` and are finished off by the `_node` decorator.  Every
     field is an operand term, except `Atom`'s event name."""
 
-    __slots__ = ("_weight", "_ops", "_pp", "__weakref__")
+    __slots__ = ("_weight", "_ops", "_depth", "_pp", "__weakref__")
     _fields: tuple[str, ...] = ()
-    _pool: "weakref.WeakValueDictionary"
-
-    def __new__(cls, *args):
-        if len(args) != len(cls._fields):
-            raise TypeError(
-                f"{cls.__name__} takes {len(cls._fields)} field(s), got {len(args)}"
-            )
-        inst = cls._pool.get(args)
-        if inst is not None:
-            return inst
-        inst = super().__new__(cls)
-        weight, ops = cls._sizes
-        for name, value in zip(cls._fields, args):
-            object.__setattr__(inst, name, value)
-            if cls is Atom:
-                if not is_event_name(value):
-                    raise ValueError(f"invalid event name: {value!r}")
-            elif isinstance(value, _Node):
-                weight += value._weight
-                ops += value._ops
-            else:
-                raise TypeError(f"{cls.__name__}.{name} is not a process term")
-        object.__setattr__(inst, "_weight", weight)
-        object.__setattr__(inst, "_ops", ops)
-        cls._pool[args] = inst
-        return inst
+    _pool: dict
 
     def __setattr__(self, name, value):
         raise AttributeError("process terms are immutable")
@@ -125,20 +106,143 @@ class _Node:
         return f"{type(self).__name__}({inner})"
 
 
-def _node(weight: int, ops: int):
+class _PoolRef(weakref.ref):
+    """A pool entry: a weak reference to a term that remembers its key."""
+
+    __slots__ = ("key",)
+
+
+# Stands in for an operand left out, so that a call with too few operands
+# reaches the arity check and its message.
+_ABSENT = object()
+
+
+def _arity_error(cls, given) -> TypeError:
+    count = sum(arg is not _ABSENT for arg in given)
+    return TypeError(f"{cls.__name__} takes {len(cls._fields)} field(s), got {count}")
+
+
+def _constructor(cls, weight: int, ops: int, event: bool):
+    """The interning `__new__` of a node class, one per arity: look the
+    operands up in the class's pool, or check them, build the node, size it
+    from its operands and pool a weak reference to it."""
+    pool = cls._pool = {}
+    get = pool.get
+    new = object.__new__
+    fields = cls._fields
+    setters = [cls.__dict__[name].__set__ for name in fields]
+    set_weight, set_ops, set_depth = (
+        _Node.__dict__[name].__set__ for name in ("_weight", "_ops", "_depth")
+    )
+
+    def remove(ref):
+        # A stale callback must not drop a newer entry under the same key.
+        if get(ref.key) is ref:
+            del pool[ref.key]
+
+    def intern(inst, key):
+        ref = _PoolRef(inst, remove)
+        ref.key = key
+        pool[key] = ref
+        return inst
+
+    def operand_error(field):
+        return TypeError(f"{cls.__name__}.{field} is not a process term")
+
+    if len(fields) == 2:
+        set_first, set_second = setters
+
+        def binary(cls, first=_ABSENT, second=_ABSENT, /, *extra):
+            if extra:
+                raise _arity_error(cls, (first, second, *extra))
+            key = (first, second)
+            ref = get(key)
+            if ref is not None:
+                inst = ref()
+                if inst is not None:
+                    return inst
+            if second is _ABSENT:
+                raise _arity_error(cls, key)
+            if not isinstance(first, _Node):
+                raise operand_error(fields[0])
+            if not isinstance(second, _Node):
+                raise operand_error(fields[1])
+            inst = new(cls)
+            set_first(inst, first)
+            set_second(inst, second)
+            set_weight(inst, weight + first._weight + second._weight)
+            set_ops(inst, ops + first._ops + second._ops)
+            fd, sd = first._depth, second._depth
+            set_depth(inst, 1 + (fd if fd > sd else sd))
+            return intern(inst, key)
+
+        return binary
+
+    if len(fields) == 1:
+        (set_operand,) = setters
+
+        def unary(cls, operand=_ABSENT, /, *extra):
+            if extra:
+                raise _arity_error(cls, (operand, *extra))
+            ref = get(operand)
+            if ref is not None:
+                inst = ref()
+                if inst is not None:
+                    return inst
+            if operand is _ABSENT:
+                raise _arity_error(cls, ())
+            if event:
+                if not is_event_name(operand):
+                    raise ValueError(f"invalid event name: {operand!r}")
+                set_weight(inst := new(cls), weight)
+                set_ops(inst, ops)
+                set_depth(inst, 1)
+            elif isinstance(operand, _Node):
+                set_weight(inst := new(cls), weight + operand._weight)
+                set_ops(inst, ops + operand._ops)
+                set_depth(inst, 1 + operand._depth)
+            else:
+                raise operand_error(fields[0])
+            set_operand(inst, operand)
+            return intern(inst, operand)
+
+        return unary
+
+    def nullary(cls, /, *extra):
+        if extra:
+            raise _arity_error(cls, extra)
+        ref = get(())
+        if ref is not None:
+            inst = ref()
+            if inst is not None:
+                return inst
+        inst = new(cls)
+        set_weight(inst, weight)
+        set_ops(inst, ops)
+        set_depth(inst, 1)
+        return intern(inst, ())
+
+    return nullary
+
+
+def _node(weight: int, ops: int, event: bool = False):
     """Finish a node class; `weight` and `ops` are its own share of
-    `term_weight` and `term_op_count`."""
+    `term_weight` and `term_op_count`, and `event` marks a class whose one
+    field is an event name rather than an operand term."""
 
     def finish(cls):
         cls._fields = cls.__match_args__ = cls.__slots__
-        cls._pool = weakref.WeakValueDictionary()
-        cls._sizes = (weight, ops)
+        new = _constructor(cls, weight, ops, event)
+        # Named as the one generic `__new__` was, so that the interpreter's
+        # own errors (a keyword argument, say) read as they always have.
+        new.__qualname__ = "_Node.__new__"
+        cls.__new__ = new
         return cls
 
     return finish
 
 
-@_node(weight=2, ops=0)
+@_node(weight=2, ops=0, event=True)
 class Atom(_Node):
     """A single atomic event."""
 
@@ -309,20 +413,12 @@ def term_weight(term: StandardTerm | CompensableTerm) -> int:
 
 
 def term_depth(term: StandardTerm | CompensableTerm) -> int:
-    """Nesting depth counting every constructor, leaves = 1."""
-    if not isinstance(term, _Node):
-        raise TypeError(f"not a process term: {term!r}")
-    depth: dict[_Node, int] = {}
-    stack = [term]
-    while stack:
-        t = stack[-1]
-        operands = _operands(t)
-        pending = [o for o in operands if o not in depth]
-        if pending:
-            stack.extend(pending)
-        else:
-            depth[stack.pop()] = 1 + max((depth[o] for o in operands), default=0)
-    return depth[term]
+    """Nesting depth counting every constructor, leaves = 1.  Fixed at
+    interning."""
+    try:
+        return term._depth
+    except AttributeError:
+        raise TypeError(f"not a process term: {term!r}") from None
 
 
 def validate_user_term(
@@ -490,6 +586,12 @@ class Trace(_Observation):
         return "<" + ",".join((*self.events, self.terminal.glyph)) + ">"
 
     __repr__ = __str__
+
+
+#: Build a `Trace` from the tuple ``(events, terminal)`` without checking
+#: it: for loops whose events are a tuple and whose terminal is a
+#: `Terminal` by construction.  Everything else calls `Trace`.
+unchecked_trace = partial(tuple.__new__, Trace)
 
 
 class TracePair(_Observation):

@@ -1,7 +1,7 @@
 """Alternating parent/change benchmark pairs, recorded as JSON.
 
     python3 tools/abbench.py PARENT CHANGE --workload campaign \
-        --seeds 901 902 903 --out BENCH_7.json [--trace]
+        --seeds 901 902 903 --out BENCH_7.json [--trace] [--claim verdicts_per_s]
 
 PARENT and CHANGE are two checkouts of the repository.  For each seed the
 script runs `perfbench/run.py` once in each checkout, at the benchmark's own
@@ -10,9 +10,15 @@ seed), and appends every run's final JSON line to OUT with the side, the
 checkout's git sha (and whether its `src/` differs from that commit), a
 SHA-256 of its `src/` tree, the workload and the seed.  OUT is rewritten
 after every run, so an interrupted series keeps what it measured.  At the
-end it prints, per end-to-end metric, each side's median and quartiles over
-this invocation and the number of pairs the change won.  Standard library
-only.
+end it prints, per metric, each side's median and quartiles over this
+invocation's pairs (a pair is one seed's two runs, whatever the seed) and the
+number of pairs the change won.  For each end-to-end metric it states
+whether the change's median is within that metric's bound in
+`BENCHMARK.json`, and whether the parent's own quartiles lie further apart
+than the bound (then the comparison is unresolved).  For the metric named by
+`--claim` it states the claim rule: did the change win at least 9/10 of the
+pairs, and is its median gain larger than the distance between the parent's
+quartiles?  Standard library only.
 """
 from __future__ import annotations
 
@@ -24,11 +30,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-#: For each end-to-end metric, whether a higher value is better.
-HIGHER_IS_BETTER = {
-    "verdicts_per_s": True, "setup_s": False, "peak_rss_mib": False,
-    "latency_p50_ms": False, "latency_p90_ms": False,
-}
+#: The benchmark's declaration: each metric's direction, and each
+#: end-to-end metric's bound.
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
 
 def checkout_id(root: Path) -> dict:
@@ -57,22 +61,43 @@ def run_once(root: Path, workload: str, seed: int, trace: bool) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def summarize(records: list[dict]) -> None:
-    by_seed: dict[int, dict[str, dict]] = {}
-    for r in records:
-        by_seed.setdefault(r["seed"], {})[r["side"]] = r["result"]["metrics"]
-    pairs = [p for p in by_seed.values() if len(p) == 2]
-    for metric, higher in HIGHER_IS_BETTER.items():
-        if not pairs or metric not in pairs[0]["parent"]:
+def quartiles(values: list[float]) -> list[float]:
+    return statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+
+
+def summarize(pairs: list[dict[str, dict]], claim: str) -> None:
+    """Print each metric's medians and wins over `pairs`, each a mapping
+    side -> that run's metrics, and judge it: the claim rule for `claim`,
+    the benchmark's bound for every end-to-end metric."""
+    declared = json.loads(BENCHMARK.read_text())
+    specs = {m["name"]: m for m in declared["end_to_end"] + declared["per_layer"]}
+    yes_no = {True: "yes", False: "NO"}
+    for name in pairs[0]["parent"] if pairs else ():
+        spec = specs.get(name)
+        if spec is None:
             continue
-        values = {side: [p[side][metric]["value"] for p in pairs] for side in ("parent", "change")}
-        pairs_of_values = zip(values["parent"], values["change"])
-        wins = sum((c > p) if higher else (c < p) for p, c in pairs_of_values)
-        cells = []
-        for side, vs in values.items():
-            q = statistics.quantiles(vs, n=4) if len(vs) > 1 else [vs[0]] * 3
-            cells.append(f"{side} median {q[1]:.6g} (quartiles {q[0]:.6g}-{q[2]:.6g})")
-        print(f"{metric}: {'; '.join(cells)}; change better in {wins}/{len(pairs)} pairs")
+        higher = spec["better"] == "higher"
+        parent = [p["parent"][name]["value"] for p in pairs]
+        change = [p["change"][name]["value"] for p in pairs]
+        wins = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
+        qp, qc = quartiles(parent), quartiles(change)
+        line = (f"{name}: parent median {qp[1]:.6g} (quartiles {qp[0]:.6g}-{qp[2]:.6g}); "
+                f"change median {qc[1]:.6g} (quartiles {qc[0]:.6g}-{qc[2]:.6g}); "
+                f"change better in {wins}/{len(pairs)} pairs")
+        if name == claim:
+            gain = qc[1] - qp[1] if higher else qp[1] - qc[1]
+            spread = qp[2] - qp[0]
+            line += (f"; claim rule: wins >= 9/10 of pairs: {yes_no[10 * wins >= 9 * len(pairs)]}, "
+                     f"median gain {gain:.6g} > parent interquartile range {spread:.6g}: "
+                     f"{yes_no[gain > spread]}")
+        if "bound" in spec:
+            bound = spec["bound"]
+            limit = qp[1] * (1 - bound if higher else 1 + bound)
+            within = qc[1] >= limit if higher else qc[1] <= limit
+            line += f"; within its {bound:.0%} bound ({limit:.6g}): {yes_no[within]}"
+            if qp[2] - qp[0] > bound * abs(qp[1]):
+                line += " (unresolved: the parent's quartiles lie further apart than the bound)"
+        print(line)
 
 
 def main() -> int:
@@ -83,24 +108,29 @@ def main() -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", type=int, nargs="+", required=True)
     ap.add_argument("--trace", action="store_true", help="per-layer metrics (perfbench --trace 1)")
+    ap.add_argument("--claim", metavar="METRIC",
+                    help="the metric the change claims to improve, judged by the claim rule")
     ap.add_argument("--out", type=Path, required=True, help="JSON list to append the runs to")
     args = ap.parse_args()
 
     records = json.loads(args.out.read_text()) if args.out.exists() else []
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     ids = {side: checkout_id(root) for side, root in sides.items()}
-    new = []
+    new, pairs = [], []
     for i, seed in enumerate(args.seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        pair = {}
         for side in order:
             result = run_once(sides[side], args.workload, seed, args.trace)
+            pair[side] = result["metrics"]
             record = {"side": side, **ids[side], "workload": args.workload, "seed": seed,
                       "trace": args.trace, "result": result}
             new.append(record)
             args.out.write_text(json.dumps(records + new, indent=1) + "\n")
             value = result["metrics"].get("verdicts_per_s", {}).get("value")
             print(f"seed {seed} {side}: verdicts_per_s {value}", flush=True)
-    summarize(new)
+        pairs.append(pair)
+    summarize(pairs, args.claim)
     return 0
 
 
