@@ -60,6 +60,8 @@ def _split_alphabet(text: str) -> tuple[str, ...]:
             raise argparse.ArgumentTypeError(f"invalid event name: {name!r}")
     if not names:
         raise argparse.ArgumentTypeError("alphabet must list at least one event")
+    if len(set(names)) < len(names):
+        raise argparse.ArgumentTypeError("alphabet must list each event once")
     return names
 
 
@@ -280,8 +282,12 @@ def _cmd_lts(args) -> int:
     term = _validated_term(args)
     dot = build_lts(term).to_dot()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(dot + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(dot + "\n")
+        except OSError as e:
+            print(f"error: cannot write {args.out}: {e.strerror or e}", file=sys.stderr)
+            return 2
     else:
         print(dot)
     return 0
@@ -317,7 +323,8 @@ def _cmd_prop(args) -> int:
         lemma_equal = 0
         for lemma in sorted(LAWS):
             suite = run_lemma_suite(
-                lemma, args.lemma_cases, args.seed, args.max_depth, args.alphabet
+                lemma, args.lemma_cases, args.seed, args.max_depth, args.alphabet,
+                args.state_cap,
             )
             lemma_total += suite.total
             lemma_equal += suite.equal

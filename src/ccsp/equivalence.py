@@ -17,12 +17,11 @@ be tested both broadly and completely at desk scale.
 from __future__ import annotations
 
 import functools
-import math
 import random
 from bisect import bisect
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Iterator, Mapping
+from typing import Iterator
 
 from . import denotational, operational
 from .denotational import (
@@ -145,24 +144,26 @@ def verify_verdict_soundness(verdict: Verdict) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _derived(term):
+def _derived(term, cap: int):
     """The derived traces (or trace pairs) of a term of either kind."""
     if is_compensable(term):
-        return derived_traces_compensable(term)
-    return derived_traces_standard(term)
+        return derived_traces_compensable(term, cap)
+    return derived_traces_standard(term, cap)
 
 
 def _clause_law(ctor, lift):
     """The law that the runs of `ctor(*operands)` are `lift`, the trace
     semantics' clause for `ctor`, applied to the runs of the operands."""
-    return lambda *operands: (_derived(ctor(*operands)), lift(*map(_derived, operands)))
+    return lambda cap, *operands: (
+        _derived(ctor(*operands), cap), lift(*(_derived(o, cap) for o in operands))
+    )
 
 
-def _law_seq_forward(pp, qq):
-    lhs = derived_forward(CSeq(pp, qq))
+def _law_seq_forward(cap, pp, qq):
+    lhs = derived_forward(CSeq(pp, qq), cap)
     rhs = set()
-    for p, banked_p in derived_forward(pp):
-        for q, banked_q in derived_forward(qq):
+    for p, banked_p in derived_forward(pp, cap):
+        for q, banked_q in derived_forward(qq, cap):
             if p.terminal is Terminal.TICK:
                 rhs.add((seq_traces(p, q), Seq(banked_q, banked_p)))
             else:
@@ -170,24 +171,24 @@ def _law_seq_forward(pp, qq):
     return lhs, frozenset(rhs)
 
 
-def _law_aux_removal(qq, p):
-    lhs = derived_forward(Aux(qq, p))
-    rhs = frozenset((t, Seq(banked, p)) for t, banked in derived_forward(qq))
+def _law_aux_removal(cap, qq, p):
+    lhs = derived_forward(Aux(qq, p), cap)
+    rhs = frozenset((t, Seq(banked, p)) for t, banked in derived_forward(qq, cap))
     return lhs, rhs
 
 
-def _law_par_forward(pp, qq):
-    lhs = derived_forward(CPar(pp, qq))
+def _law_par_forward(cap, pp, qq):
+    lhs = derived_forward(CPar(pp, qq), cap)
     rhs = frozenset(
         (t, Par(banked_p, banked_q))
-        for p, banked_p in derived_forward(pp)
-        for q, banked_q in derived_forward(qq)
+        for p, banked_p in derived_forward(pp, cap)
+        for q, banked_q in derived_forward(qq, cap)
         for t in par_traces(p, q)
     )
     return lhs, rhs
 
 
-#: law id -> (name, operand kinds, implementation)
+#: law id -> (name, operand kinds, implementation(state_cap, *operands))
 LAWS: dict[int, tuple[str, tuple[str, ...], object]] = {
     1: ("seq-standard", ("std", "std"), _clause_law(Seq, lift_seq)),
     2: ("par-standard", ("std", "std"), _clause_law(Par, lift_par)),
@@ -199,7 +200,9 @@ LAWS: dict[int, tuple[str, tuple[str, ...], object]] = {
 }
 
 
-def check_lemma(lemma: int, operands: tuple) -> LemmaVerdict:
+def check_lemma(
+    lemma: int, operands: tuple, state_cap: int = DEFAULT_STATE_CAP
+) -> LemmaVerdict:
     """Check one decomposition law (1-7) on concrete operand terms."""
     if lemma not in LAWS:
         raise ValueError(f"no such law: {lemma}")
@@ -210,7 +213,7 @@ def check_lemma(lemma: int, operands: tuple) -> LemmaVerdict:
         ok = is_standard(operand) if kind == "std" else is_compensable(operand)
         if not ok:
             raise ValueError(f"law {lemma} operand kinds are {kinds}")
-    lhs, rhs = impl(*operands)
+    lhs, rhs = impl(state_cap, *operands)
     return LemmaVerdict(
         lemma, name, operands, frozenset(lhs - rhs), frozenset(rhs - lhs)
     )
@@ -219,14 +222,6 @@ def check_lemma(lemma: int, operands: tuple) -> LemmaVerdict:
 # ---------------------------------------------------------------------------
 # Term generation
 # ---------------------------------------------------------------------------
-
-_STD_LEAVES = ("atom", "skip", "throw", "yield")
-_STD_INTERNAL = ("seq", "choice", "par", "interrupt", "block")
-_COMP_INTERNAL = ("cseq", "cchoice", "cpar")
-
-DEFAULT_WEIGHTS: Mapping[str, float] = {
-    name: 1.0 for name in (*_STD_LEAVES, *_STD_INTERNAL, "pair", *_COMP_INTERNAL)
-}
 
 
 @dataclass(frozen=True)
@@ -238,15 +233,13 @@ class GenConfig:
     depth 2 on its own, so terms reach at most max_depth + 1 constructors.
     Leaf probability rises with depth, and the weight of nested parallel
     composition decays, to keep interleaving products at desk scale.  Null
-    and the auxiliary construct are never generated.  `weights` overrides
-    entries of `DEFAULT_WEIGHTS`; each must be positive and finite.
+    and the auxiliary construct are never generated.
     """
 
     seed: int
     max_depth: int
     alphabet: tuple[Event, ...]
     kind: str  # "standard" | "compensable"
-    weights: Mapping[str, float] | None = None
 
     def __post_init__(self):
         if self.max_depth < 1:
@@ -255,16 +248,6 @@ class GenConfig:
             raise ValueError("alphabet must be nonempty")
         if self.kind not in ("standard", "compensable"):
             raise ValueError(f"unknown kind: {self.kind!r}")
-        if self.weights is not None:
-            for name, w in self.weights.items():
-                if name not in DEFAULT_WEIGHTS:
-                    raise ValueError(f"unknown constructor: {name!r}")
-                try:
-                    ok = w > 0 and math.isfinite(w)
-                except OverflowError:  # an int too large for a float
-                    ok = False
-                if not ok:
-                    raise ValueError(f"weight for {name!r} must be positive and finite")
 
 
 def gen_term(cfg: GenConfig) -> StandardTerm | CompensableTerm:
@@ -274,46 +257,36 @@ def gen_term(cfg: GenConfig) -> StandardTerm | CompensableTerm:
     top-down and left operand first: one `random()` per weighted choice of
     constructor, one `choice(alphabet)` per atom, none for a pair forced at
     the depth limit.  A weighted choice reads the stream as
-    `random.choices(names, weights)` does, so the terms are that recipe's;
-    the tests keep it as the reference.
+    `random.choices(names, weights)` does with every constructor weighted
+    1.0, so the terms are that recipe's; the tests keep it as the reference.
     """
-    # The type keeps weights 2 and 2.0 apart: their sums can round differently.
-    custom = tuple((k, type(w), w) for k, w in cfg.weights.items()) if cfg.weights else ()
-    gen = _Generator(_DrawTables(cfg.max_depth, custom), random.Random(cfg.seed), cfg.alphabet)
+    gen = _Generator(_DrawTables(cfg.max_depth), random.Random(cfg.seed), cfg.alphabet)
     return gen.std(cfg.max_depth, 0) if cfg.kind == "standard" else gen.comp(cfg.max_depth, 0)
 
 
-#: What a weighted draw picks, in the order of the weight names in `_DrawTables`.
+#: What a weighted draw picks: the standard leaves, then the operators.
 _STD_NODES = (Atom, SKIP, THROW, YIELD, Seq, Choice, Par, Interrupt, Block)
 _COMP_NODES = (Pair, CSeq, CChoice, CPar)
 
 
-@functools.lru_cache(maxsize=64)  # one shared instance per (max_depth, custom)
+@functools.lru_cache(maxsize=64)  # one shared instance per max_depth
 class _DrawTables(dict):
     """Cell `(compensable, remaining, par_depth)` -> `(nodes, cum, total, hi)`: the floats
-    `random.choices` computed for such a node (same weights, `accumulate`, `cum[-1] + 0.0`).
-    Cells are built on first use and raise `ValueError` where `choices` did (as when
-    `weight * bias` overflows), so a config fails for the same seeds."""
+    `random.choices` computed for such a node (`accumulate`, then `cum[-1] + 0.0`)."""
 
-    def __init__(self, max_depth: int, custom: tuple):
-        self.max_depth, self.weights = max_depth, DEFAULT_WEIGHTS | {k: w for k, _, w in custom}
+    def __init__(self, max_depth: int):
+        self.max_depth = max_depth
 
     def __missing__(self, key):
         compensable, remaining, par_depth = key
-        w = self.weights
         if remaining <= 1:  # standard only: a compensable node here is a pair
-            nodes, ws = _STD_NODES[:4], [w[k] for k in _STD_LEAVES]
+            nodes, ws = _STD_NODES[:4], [1.0] * 4
         else:  # leaves gain weight with depth, nested parallels lose it
-            bias, par_decay = (self.max_depth - remaining + 1) ** 2 / 4.0, 3.0 ** par_depth
-            nodes, leaves, internal, par = ((_COMP_NODES, ("pair",), _COMP_INTERNAL, "cpar")
-                if compensable else (_STD_NODES, _STD_LEAVES, _STD_INTERNAL, "par"))
-            ws = [w[k] * bias for k in leaves]
-            ws += [w[k] / (par_decay if k == par else 1.0) for k in internal]
+            bias, par = (self.max_depth - remaining + 1) ** 2 / 4.0, 1.0 / 3.0 ** par_depth
+            nodes, ws = ((_COMP_NODES, [bias, 1.0, 1.0, par]) if compensable
+                         else (_STD_NODES, [bias] * 4 + [1.0, 1.0, par, 1.0, 1.0]))
         cum = list(accumulate(ws))
-        total = cum[-1] + 0.0
-        if not math.isfinite(total):
-            raise ValueError("Total of weights must be finite")
-        self[key] = cell = (nodes, cum, total, len(cum) - 1)
+        self[key] = cell = (nodes, cum, cum[-1] + 0.0, len(cum) - 1)
         return cell
 
 
@@ -369,12 +342,17 @@ def enumerate_terms(
     and their operands' operators count toward the budget.
     `max_pair_operand_ops` additionally caps the operator count of each
     pair operand (useful to keep compensable enumeration finite-friendly).
+    A repeated event in `alphabet` is a `ValueError`: it would list its
+    atoms, and every term over them, twice.
     """
     if max_ops < 0:
         raise ValueError("max_ops must be nonnegative")
     if kind not in ("standard", "compensable"):
         raise ValueError(f"unknown kind: {kind!r}")
-    worlds = _EnumWorld(tuple(alphabet), max_pair_operand_ops)
+    alphabet = tuple(alphabet)
+    if len(set(alphabet)) < len(alphabet):
+        raise ValueError("alphabet must list each event once")
+    worlds = _EnumWorld(alphabet, max_pair_operand_ops)
     for k in range(max_ops + 1):
         if kind == "standard":
             yield from worlds.std_exact(k, store=k < max_ops)
@@ -512,6 +490,7 @@ def run_lemma_suite(
     seed: int,
     max_depth: int,
     alphabet: tuple[Event, ...],
+    state_cap: int = DEFAULT_STATE_CAP,
 ) -> LemmaSuiteResult:
     """Check one law on `cases` seeded operand tuples."""
     name, kinds, _ = LAWS[lemma]
@@ -529,26 +508,28 @@ def run_lemma_suite(
             )
             for k in kinds
         )
-        verdict = check_lemma(lemma, operands)
+        verdict = check_lemma(lemma, operands, state_cap)
         result.total += 1
         if verdict.is_equal:
             result.equal += 1
         else:
             result.failures.append(verdict)
-        _record_coverage(result, lemma, operands)
+        _record_coverage(result, lemma, operands, state_cap)
         maybe_trim_caches()
     return result
 
 
-def _record_coverage(result: LemmaSuiteResult, lemma: int, operands: tuple) -> None:
+def _record_coverage(
+    result: LemmaSuiteResult, lemma: int, operands: tuple, state_cap: int
+) -> None:
     cov = result.coverage
     if lemma == 3:
-        terminals = {t.terminal for t, _ in derived_forward(operands[0])}
+        terminals = {t.terminal for t, _ in derived_forward(operands[0], state_cap)}
         if Terminal.TICK in terminals:
             cov["cond-true"] = cov.get("cond-true", 0) + 1
         if terminals - {Terminal.TICK}:
             cov["cond-false"] = cov.get("cond-false", 0) + 1
     elif lemma == 6:
-        terminals = {t.terminal for t in derived_traces_standard(operands[0])}
+        terminals = {t.terminal for t in derived_traces_standard(operands[0], state_cap)}
         if Terminal.THROW in terminals:
             cov["forward-throw"] = cov.get("forward-throw", 0) + 1

@@ -184,6 +184,15 @@ def test_lts_dot_to_stdout_and_file(tmp_path):
     assert target.read_text().startswith("digraph lts {")
 
 
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+def test_lts_unwritable_out_is_a_usage_error(tmp_path, where):
+    target = tmp_path if where == "directory" else tmp_path / "missing" / "g.dot"
+    code, out, err = invoke(["lts", "a ; b", "--out", str(target)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+
+
 def test_prop_transcript_is_deterministic():
     args = ["prop", "--seed", "3", "--cases", "40", "--max-depth", "4", "--kind", "both"]
     first = invoke(args)
@@ -204,6 +213,15 @@ def test_prop_with_lemma_suites():
     assert "lemmas equal 140/140" in out
     for lemma in range(1, 8):
         assert f"lemma {lemma} " in out
+
+
+def test_prop_state_cap_bounds_the_law_suites():
+    code, out, err = invoke(
+        ["prop", "--cases", "0", "--lemmas", "--lemma-cases", "3", "--state-cap", "1"]
+    )
+    assert code == 1
+    assert "lemmas equal" not in out
+    assert err == "error: state cap exceeded: more than 1 states explored\n"
 
 
 def test_prop_lemma_transcript_is_pinned():
@@ -229,6 +247,13 @@ def test_enumerate_listing_matches_check_counts():
     assert "ops 1: 80 terms, 80 equal" in out
     assert "total 84 terms, 84 equal, 0 mismatches" in out
     assert "healthy 84/84" in out
+
+
+def test_repeated_alphabet_event_is_a_usage_error():
+    code, out, err = invoke(["enumerate", "--max-ops", "0", "--alphabet", "a,a"])
+    assert code == 2
+    assert out == ""
+    assert "alphabet must list each event once" in err
 
 
 def test_enumerate_compensable_with_pair_cap():
