@@ -27,7 +27,6 @@ from .denotational import (
 )
 from .equivalence import (
     GenConfig,
-    LemmaVerdict,
     Verdict,
     check_compensable,
     check_lemma,

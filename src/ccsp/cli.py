@@ -19,13 +19,14 @@ import json
 import sys
 from typing import Sequence
 
-from . import equivalence, warehouse
-from .denotational import check_healthiness, traces_compensable, traces_standard
+from . import warehouse
+from .denotational import clear_caches as clear_trace_memos, traces_compensable, traces_standard
 from .equivalence import (
     LAWS,
     Verdict,
     check_compensable,
     check_standard,
+    check_terms,
     enumerate_terms,
     run_lemma_suite,
     run_prop_campaign,
@@ -34,12 +35,14 @@ from .operational import (
     DEFAULT_STATE_CAP,
     StateCapExceeded,
     build_lts,
+    clear_caches as clear_step_memos,
     derived_traces_compensable,
     derived_traces_standard,
 )
 from .parser import ParseError, parse_compensable, parse_standard
 from .terms import (
     by_sort_key,
+    is_compensable,
     is_event_name,
     pair_tokens,
     pretty_print,
@@ -186,6 +189,10 @@ def run(argv: Sequence[str] | None = None) -> int:
     built once per process and kept.  Rescanning that heap took 2.1 s of a
     9.1 s `enumerate --check` call over 111 089 terms, in 2 498 collections
     (2 cores, Python 3.11.7).
+
+    Each command starts from empty memo tables, as in a fresh process, so
+    its output, and whether it exceeds `--state-cap`, does not depend on
+    what ran before it.
     """
     parser = _build_parser()
     try:
@@ -193,6 +200,8 @@ def run(argv: Sequence[str] | None = None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
 
+    clear_step_memos()
+    clear_trace_memos()
     collecting = gc.isenabled()
     gc.disable()
     try:
@@ -301,18 +310,20 @@ def _cmd_prop(args) -> int:
     equal = 0
     healthy = 0
     failed = False
-    for case in run_prop_campaign(
+    cases = run_prop_campaign(
         args.seed, args.cases, args.max_depth, args.alphabet, args.kind, args.state_cap
-    ):
-        ok = case.verdict.is_equal
+    )
+    for index, (term, verdict, is_healthy) in enumerate(cases):
+        ok = verdict.is_equal
         equal += ok
-        healthy += case.healthy
-        marker = "ok" if ok and case.healthy else "FAIL"
-        print(f"{marker} {case.index:04d} {case.kind} {pretty_print(case.term)}")
+        healthy += is_healthy
+        marker = "ok" if ok and is_healthy else "FAIL"
+        kind = "comp" if is_compensable(term) else "std"
+        print(f"{marker} {index:04d} {kind} {pretty_print(term)}")
         if not ok:
             failed = True
-            _print_witnesses(case.verdict)
-        if not case.healthy:
+            _print_witnesses(verdict)
+        if not is_healthy:
             failed = True
             print("  healthiness violated")
     print(f"equal {equal}/{args.cases}")
@@ -334,8 +345,8 @@ def _cmd_prop(args) -> int:
             print(f"lemma {lemma} {suite.name} {suite.equal}/{suite.total} equal{coverage}")
             if suite.failures:
                 failed = True
-                for f in suite.failures[:5]:
-                    ops = " ; ".join(pretty_print(t) for t in f.operands)
+                for operands in suite.failures[:5]:
+                    ops = " ; ".join(pretty_print(t) for t in operands)
                     print(f"  FAIL operands: {ops}")
         print(f"lemmas equal {lemma_equal}/{lemma_total}")
         if lemma_equal != lemma_total:
@@ -345,15 +356,13 @@ def _cmd_prop(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    kind_name = "standard" if args.kind == "std" else "compensable"
     print(
         f"enumerate max-ops={args.max_ops} alphabet={','.join(args.alphabet)}"
         f" kind={args.kind} check={str(args.check).lower()}"
     )
+    terms = enumerate_terms(args.max_ops, args.alphabet, args.kind, args.max_pair_ops)
     if not args.check:
-        for term in enumerate_terms(
-            args.max_ops, args.alphabet, kind_name, args.max_pair_ops
-        ):
+        for term in terms:
             print(pretty_print(term))
         return 0
 
@@ -361,9 +370,7 @@ def _cmd_enumerate(args) -> int:
     mismatches = 0
     unhealthy = 0
     total = 0
-    check = check_standard if args.kind == "std" else check_compensable
-    for term in enumerate_terms(args.max_ops, args.alphabet, kind_name, args.max_pair_ops):
-        verdict = check(term, args.state_cap)
+    for term, verdict, healthy in check_terms(terms, args.state_cap):
         level = term_op_count(term)
         counts = per_level.setdefault(level, [0, 0])
         counts[0] += 1
@@ -374,10 +381,9 @@ def _cmd_enumerate(args) -> int:
             mismatches += 1
             print(f"MISMATCH {pretty_print(term)}")
             _print_witnesses(verdict)
-        if not check_healthiness(term):
+        if not healthy:
             unhealthy += 1
             print(f"UNHEALTHY {pretty_print(term)}")
-        equivalence.maybe_trim_caches()
     for level in sorted(per_level):
         n, ok = per_level[level]
         print(f"ops {level}: {n} terms, {ok} equal")

@@ -21,7 +21,7 @@ import random
 from bisect import bisect
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from . import denotational, operational
 from .denotational import (
@@ -72,7 +72,11 @@ from .terms import (
 
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome of comparing the two semantics of one term."""
+    """Outcome of comparing the two semantics of one term.
+
+    For a decomposition law (`check_lemma`) the term is the law's composite
+    and `only_denotational` holds what only the law's formula gives.
+    """
 
     term: StandardTerm | CompensableTerm
     only_operational: frozenset
@@ -81,30 +85,6 @@ class Verdict:
     @property
     def is_equal(self) -> bool:
         return not self.only_operational and not self.only_denotational
-
-    @property
-    def status(self) -> str:
-        return "equal" if self.is_equal else "mismatch"
-
-
-@dataclass(frozen=True)
-class LemmaVerdict:
-    """Outcome of checking one decomposition law on concrete operands.
-
-    The left side is evaluated by operational runs of the composite term,
-    the right side by the law's trace-level formula over runs of the
-    operands.
-    """
-
-    lemma: int
-    name: str
-    operands: tuple
-    only_operational: frozenset
-    only_formula: frozenset
-
-    @property
-    def is_equal(self) -> bool:
-        return not self.only_operational and not self.only_formula
 
     @property
     def status(self) -> str:
@@ -154,13 +134,17 @@ def _derived(term, cap: int):
 def _clause_law(ctor, lift):
     """The law that the runs of `ctor(*operands)` are `lift`, the trace
     semantics' clause for `ctor`, applied to the runs of the operands."""
-    return lambda cap, *operands: (
-        _derived(ctor(*operands), cap), lift(*(_derived(o, cap) for o in operands))
-    )
+
+    def law(cap, *operands):
+        term = ctor(*operands)
+        return term, _derived(term, cap), lift(*(_derived(o, cap) for o in operands))
+
+    return law
 
 
 def _law_seq_forward(cap, pp, qq):
-    lhs = derived_forward(CSeq(pp, qq), cap)
+    term = CSeq(pp, qq)
+    lhs = derived_forward(term, cap)
     rhs = set()
     for p, banked_p in derived_forward(pp, cap):
         for q, banked_q in derived_forward(qq, cap):
@@ -168,27 +152,29 @@ def _law_seq_forward(cap, pp, qq):
                 rhs.add((seq_traces(p, q), Seq(banked_q, banked_p)))
             else:
                 rhs.add((p, banked_p))
-    return lhs, frozenset(rhs)
+    return term, lhs, frozenset(rhs)
 
 
 def _law_aux_removal(cap, qq, p):
-    lhs = derived_forward(Aux(qq, p), cap)
-    rhs = frozenset((t, Seq(banked, p)) for t, banked in derived_forward(qq, cap))
-    return lhs, rhs
+    term = Aux(qq, p)
+    lhs = derived_forward(term, cap)
+    return term, lhs, frozenset((t, Seq(banked, p)) for t, banked in derived_forward(qq, cap))
 
 
 def _law_par_forward(cap, pp, qq):
-    lhs = derived_forward(CPar(pp, qq), cap)
+    term = CPar(pp, qq)
+    lhs = derived_forward(term, cap)
     rhs = frozenset(
         (t, Par(banked_p, banked_q))
         for p, banked_p in derived_forward(pp, cap)
         for q, banked_q in derived_forward(qq, cap)
         for t in par_traces(p, q)
     )
-    return lhs, rhs
+    return term, lhs, rhs
 
 
-#: law id -> (name, operand kinds, implementation(state_cap, *operands))
+#: law id -> (name, operand kinds, implementation(state_cap, *operands)
+#: returning the composite term, its runs and the formula's side)
 LAWS: dict[int, tuple[str, tuple[str, ...], object]] = {
     1: ("seq-standard", ("std", "std"), _clause_law(Seq, lift_seq)),
     2: ("par-standard", ("std", "std"), _clause_law(Par, lift_par)),
@@ -200,23 +186,23 @@ LAWS: dict[int, tuple[str, tuple[str, ...], object]] = {
 }
 
 
-def check_lemma(
-    lemma: int, operands: tuple, state_cap: int = DEFAULT_STATE_CAP
-) -> LemmaVerdict:
-    """Check one decomposition law (1-7) on concrete operand terms."""
+def _law(lemma: int) -> tuple:
     if lemma not in LAWS:
         raise ValueError(f"no such law: {lemma}")
-    name, kinds, impl = LAWS[lemma]
+    return LAWS[lemma]
+
+
+def check_lemma(lemma: int, operands: tuple, state_cap: int = DEFAULT_STATE_CAP) -> Verdict:
+    """Check one decomposition law (1-7) on concrete operand terms."""
+    _, kinds, impl = _law(lemma)
     if len(operands) != len(kinds):
         raise ValueError(f"law {lemma} takes {len(kinds)} operands, got {len(operands)}")
     for operand, kind in zip(operands, kinds):
         ok = is_standard(operand) if kind == "std" else is_compensable(operand)
         if not ok:
             raise ValueError(f"law {lemma} operand kinds are {kinds}")
-    lhs, rhs = impl(state_cap, *operands)
-    return LemmaVerdict(
-        lemma, name, operands, frozenset(lhs - rhs), frozenset(rhs - lhs)
-    )
+    term, lhs, rhs = impl(state_cap, *operands)
+    return Verdict(term, frozenset(lhs - rhs), frozenset(rhs - lhs))
 
 
 # ---------------------------------------------------------------------------
@@ -239,14 +225,14 @@ class GenConfig:
     seed: int
     max_depth: int
     alphabet: tuple[Event, ...]
-    kind: str  # "standard" | "compensable"
+    kind: str  # "std" | "comp"
 
     def __post_init__(self):
         if self.max_depth < 1:
             raise ValueError("max_depth must be at least 1")
         if not self.alphabet:
             raise ValueError("alphabet must be nonempty")
-        if self.kind not in ("standard", "compensable"):
+        if self.kind not in ("std", "comp"):
             raise ValueError(f"unknown kind: {self.kind!r}")
 
 
@@ -261,7 +247,7 @@ def gen_term(cfg: GenConfig) -> StandardTerm | CompensableTerm:
     1.0, so the terms are that recipe's; the tests keep it as the reference.
     """
     gen = _Generator(_DrawTables(cfg.max_depth), random.Random(cfg.seed), cfg.alphabet)
-    return gen.std(cfg.max_depth, 0) if cfg.kind == "standard" else gen.comp(cfg.max_depth, 0)
+    return gen.std(cfg.max_depth, 0) if cfg.kind == "std" else gen.comp(cfg.max_depth, 0)
 
 
 #: What a weighted draw picks: the standard leaves, then the operators.
@@ -331,7 +317,7 @@ class _Generator:
 def enumerate_terms(
     max_ops: int,
     alphabet: tuple[Event, ...],
-    kind: str = "standard",
+    kind: str = "std",
     max_pair_operand_ops: int | None = None,
 ) -> Iterator[StandardTerm | CompensableTerm]:
     """Every valid user term with at most `max_ops` operator nodes,
@@ -341,23 +327,24 @@ def enumerate_terms(
     Operator counting follows `term_op_count`: compensation pairs are free
     and their operands' operators count toward the budget.
     `max_pair_operand_ops` additionally caps the operator count of each
-    pair operand (useful to keep compensable enumeration finite-friendly).
+    pair operand (useful to keep compensable enumeration finite-friendly);
+    a negative cap is a `ValueError`, like a negative `max_ops`.
     A repeated event in `alphabet` is a `ValueError`: it would list its
     atoms, and every term over them, twice.
     """
     if max_ops < 0:
         raise ValueError("max_ops must be nonnegative")
-    if kind not in ("standard", "compensable"):
+    if max_pair_operand_ops is not None and max_pair_operand_ops < 0:
+        raise ValueError("max_pair_operand_ops must be nonnegative")
+    if kind not in ("std", "comp"):
         raise ValueError(f"unknown kind: {kind!r}")
     alphabet = tuple(alphabet)
     if len(set(alphabet)) < len(alphabet):
         raise ValueError("alphabet must list each event once")
     worlds = _EnumWorld(alphabet, max_pair_operand_ops)
+    exact = worlds.std_exact if kind == "std" else worlds.comp_exact
     for k in range(max_ops + 1):
-        if kind == "standard":
-            yield from worlds.std_exact(k, store=k < max_ops)
-        else:
-            yield from worlds.comp_exact(k, store=k < max_ops)
+        yield from exact(k, store=k < max_ops)
 
 
 class _EnumWorld:
@@ -431,13 +418,15 @@ def maybe_trim_caches() -> None:
         denotational.clear_caches()
 
 
-@dataclass(frozen=True)
-class CaseResult:
-    index: int
-    kind: str  # "std" | "comp"
-    term: StandardTerm | CompensableTerm
-    verdict: Verdict
-    healthy: bool
+def check_terms(
+    terms: Iterable[StandardTerm | CompensableTerm], state_cap: int = DEFAULT_STATE_CAP
+) -> Iterator[tuple[StandardTerm | CompensableTerm, Verdict, bool]]:
+    """`(term, verdict, healthy)` for each term, checked by its kind; the
+    memo tables are trimmed once the consumer has taken each item."""
+    for term in terms:
+        check = check_compensable if is_compensable(term) else check_standard
+        yield term, check(term, state_cap), check_healthiness(term)
+        maybe_trim_caches()
 
 
 def run_prop_campaign(
@@ -447,29 +436,18 @@ def run_prop_campaign(
     alphabet: tuple[Event, ...],
     kind: str,  # "std" | "comp" | "both"
     state_cap: int = DEFAULT_STATE_CAP,
-) -> Iterator[CaseResult]:
-    """Seeded equivalence campaign; `both` alternates the two categories.
+) -> Iterator[tuple[StandardTerm | CompensableTerm, Verdict, bool]]:
+    """Seeded `check_terms` campaign; `both` alternates the two kinds,
+    standard first.
 
-    The per-case terms are a pure function of the arguments, so transcripts
-    are reproducible.
+    The per-case terms are a pure function of the arguments (one seed drawn
+    per case, in order), so transcripts are reproducible.
     """
     rng = random.Random(seed)
-    for i in range(cases):
-        case_seed = rng.getrandbits(63)
-        case_kind = kind if kind != "both" else ("std" if i % 2 == 0 else "comp")
-        cfg = GenConfig(
-            seed=case_seed,
-            max_depth=max_depth,
-            alphabet=alphabet,
-            kind="standard" if case_kind == "std" else "compensable",
-        )
-        term = gen_term(cfg)
-        if case_kind == "std":
-            verdict = check_standard(term, state_cap)
-        else:
-            verdict = check_compensable(term, state_cap)
-        yield CaseResult(i, case_kind, term, verdict, check_healthiness(term))
-        maybe_trim_caches()
+    kinds = ("std", "comp") if kind == "both" else (kind,)
+    configs = (GenConfig(rng.getrandbits(63), max_depth, alphabet, kinds[i % len(kinds)])
+               for i in range(cases))
+    yield from check_terms(map(gen_term, configs), state_cap)
 
 
 @dataclass
@@ -478,7 +456,7 @@ class LemmaSuiteResult:
     name: str
     total: int = 0
     equal: int = 0
-    failures: list[LemmaVerdict] = field(default_factory=list)
+    failures: list[tuple] = field(default_factory=list)  # operand tuples
     #: coverage counters, e.g. COND branches for law 3 and forward throws
     #: for law 6
     coverage: dict[str, int] = field(default_factory=dict)
@@ -493,27 +471,18 @@ def run_lemma_suite(
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> LemmaSuiteResult:
     """Check one law on `cases` seeded operand tuples."""
-    name, kinds, _ = LAWS[lemma]
+    name, kinds, _ = _law(lemma)
     result = LemmaSuiteResult(lemma, name)
     rng = random.Random((seed << 3) ^ lemma)
     for _ in range(cases):
         operands = tuple(
-            gen_term(
-                GenConfig(
-                    seed=rng.getrandbits(63),
-                    max_depth=max_depth,
-                    alphabet=alphabet,
-                    kind="standard" if k == "std" else "compensable",
-                )
-            )
-            for k in kinds
+            gen_term(GenConfig(rng.getrandbits(63), max_depth, alphabet, k)) for k in kinds
         )
-        verdict = check_lemma(lemma, operands, state_cap)
         result.total += 1
-        if verdict.is_equal:
+        if check_lemma(lemma, operands, state_cap).is_equal:
             result.equal += 1
         else:
-            result.failures.append(verdict)
+            result.failures.append(operands)
         _record_coverage(result, lemma, operands, state_cap)
         maybe_trim_caches()
     return result

@@ -185,7 +185,7 @@ def test_mutation_sensitivity(monkeypatch):
     monkeypatch.setattr(denotational, "seq_traces", mutant)
     try:
         mismatch = None
-        for term in enumerate_terms(2, ("a", "b"), "standard"):
+        for term in enumerate_terms(2, ("a", "b"), "std"):
             verdict = check_standard(term)
             if not verdict.is_equal:
                 mismatch = verdict

@@ -224,6 +224,17 @@ def test_prop_state_cap_bounds_the_law_suites():
     assert err == "error: state cap exceeded: more than 1 states explored\n"
 
 
+def test_state_cap_outcome_does_not_depend_on_earlier_commands():
+    # Each command starts from empty memo tables: an uncapped run of the
+    # same campaign must not leave states that the capped run then skips.
+    capped = ["prop", "--seed", "3", "--cases", "200", "--max-depth", "4", "--state-cap", "5"]
+    before = invoke(capped)
+    assert invoke(capped[:-2])[0] == 0
+    assert invoke(capped) == before
+    assert before[0] == 1
+    assert before[2] == "error: state cap exceeded: more than 5 states explored\n"
+
+
 def test_prop_lemma_transcript_is_pinned():
     # The golden file is the whole stdout of this command at a known-good
     # commit: the case lines, every law's line and its coverage counters.

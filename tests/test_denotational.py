@@ -244,10 +244,10 @@ def test_check_healthiness_examples():
     assert check_healthiness(Par(YIELD, YIELD))
 
 
-@given(st.integers(0, 2**63 - 1), st.sampled_from(["standard", "compensable"]))
+@given(st.integers(0, 2**63 - 1), st.sampled_from(["std", "comp"]))
 def test_every_generated_term_is_healthy_and_nonempty(seed, kind):
     term = gen_term(GenConfig(seed=seed, max_depth=4, alphabet=("a", "b"), kind=kind))
-    if kind == "standard":
+    if kind == "std":
         assert traces_standard(term)
     else:
         assert traces_compensable(term)
@@ -256,7 +256,7 @@ def test_every_generated_term_is_healthy_and_nonempty(seed, kind):
 
 @given(st.integers(0, 2**63 - 1))
 def test_seq_and_interrupt_preserve_selected_terminal(seed):
-    term = gen_term(GenConfig(seed=seed, max_depth=3, alphabet=("a",), kind="standard"))
+    term = gen_term(GenConfig(seed=seed, max_depth=3, alphabet=("a",), kind="std"))
     for p in traces_standard(term):
         for q in (trace("x", "*"), trace("!"), trace("?")):
             spliced = seq_traces(p, q)

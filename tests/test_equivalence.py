@@ -12,6 +12,7 @@ from ccsp.equivalence import (
     check_compensable,
     check_lemma,
     check_standard,
+    check_terms,
     enumerate_terms,
     gen_term,
     run_lemma_suite,
@@ -39,6 +40,7 @@ from ccsp.terms import (
     Trace,
     TracePair,
     Yield,
+    is_compensable,
     pretty_print,
     term_op_count,
     term_weight,
@@ -97,6 +99,17 @@ def test_check_lemma_examples():
     assert check_lemma(7, (Pair(THROW, SKIP),)).is_equal
 
 
+def test_check_lemma_verdict_names_the_composite_term():
+    verdict = check_lemma(7, (Pair(THROW, SKIP),))
+    assert verdict.term is Block(Pair(THROW, SKIP))
+    assert verdict.is_equal and not verdict.only_denotational
+    composites = {1: Seq, 2: Par, 3: CSeq, 4: Aux, 5: CPar, 6: Pair, 7: Block}
+    operands = {"std": A, "comp": Pair(A, B)}
+    for lemma, (_, kinds, _) in LAWS.items():
+        ops = tuple(operands[k] for k in kinds)
+        assert check_lemma(lemma, ops).term is composites[lemma](*ops)
+
+
 def test_check_lemma_rejects_bad_operands():
     with pytest.raises(ValueError):
         check_lemma(1, (Pair(A, B), THROW))  # law 1 wants standard operands
@@ -117,12 +130,17 @@ def test_laws_hold_on_random_operands(seed, lemma):
                 seed=rng.getrandbits(63),
                 max_depth=4,
                 alphabet=("a", "b"),
-                kind="standard" if k == "std" else "compensable",
+                kind=k,
             )
         )
         for k in kinds
     )
     assert check_lemma(lemma, operands).is_equal
+
+
+def test_lemma_suite_rejects_an_unknown_law():
+    with pytest.raises(ValueError, match="no such law: 8"):
+        run_lemma_suite(8, 1, 0, 3, ("a",))
 
 
 def test_lemma_suite_covers_both_cond_branches_and_forward_throw():
@@ -138,17 +156,27 @@ def test_lemma_suite_covers_both_cond_branches_and_forward_throw():
 
 
 def test_gen_depth_one_standard_is_leaf():
-    term = gen_term(GenConfig(seed=1, max_depth=1, alphabet=("a",), kind="standard"))
+    term = gen_term(GenConfig(seed=1, max_depth=1, alphabet=("a",), kind="std"))
     assert term_op_count(term) == 0
 
 
 def test_gen_config_validation():
     with pytest.raises(ValueError):
-        GenConfig(seed=0, max_depth=0, alphabet=("a",), kind="standard")
+        GenConfig(seed=0, max_depth=0, alphabet=("a",), kind="std")
     with pytest.raises(ValueError):
-        GenConfig(seed=0, max_depth=2, alphabet=(), kind="standard")
+        GenConfig(seed=0, max_depth=2, alphabet=(), kind="std")
     with pytest.raises(ValueError):
         GenConfig(seed=0, max_depth=2, alphabet=("a",), kind="mixed")
+
+
+@pytest.mark.parametrize("kind", ["standard", "compensable"])
+def test_kind_has_one_spelling(kind):
+    with pytest.raises(ValueError, match="unknown kind"):
+        GenConfig(seed=0, max_depth=2, alphabet=("a",), kind=kind)
+    with pytest.raises(ValueError, match="unknown kind"):
+        list(enumerate_terms(1, ("a",), kind))
+    with pytest.raises(ValueError, match="unknown kind"):
+        list(run_prop_campaign(1, 3, 3, ("a", "b"), kind))
 
 
 # The generator as it was written on `random.choices`, kept verbatim as the
@@ -161,7 +189,7 @@ _WEIGHTS = {name: 1.0 for name in (*_STD_LEAVES, *_STD_INTERNAL, "pair", *_COMP_
 
 def reference_gen_term(cfg: GenConfig):
     rng = random.Random(cfg.seed)
-    if cfg.kind == "standard":
+    if cfg.kind == "std":
         return _gen_std(rng, cfg, _WEIGHTS, cfg.max_depth, 0)
     return _gen_comp(rng, cfg, _WEIGHTS, cfg.max_depth, 0)
 
@@ -241,18 +269,18 @@ def test_gen_term_matches_choices_reference():
             seed=rng.getrandbits(63),
             max_depth=rng.randint(1, 7),
             alphabet=tuple(rng.sample(("a", "b", "c"), rng.randint(1, 3))),
-            kind=rng.choice(("standard", "compensable")),
+            kind=rng.choice(("std", "comp")),
         )
         assert gen_term(cfg) is reference_gen_term(cfg), cfg
         kinds.add(cfg.kind)
         depths.add(cfg.max_depth)
-    assert kinds == {"standard", "compensable"} and depths == set(range(1, 8))
+    assert kinds == {"std", "comp"} and depths == set(range(1, 8))
 
 
 def test_gen_compensable_never_contains_aux():
     for seed in range(50):
         term = gen_term(
-            GenConfig(seed=seed, max_depth=5, alphabet=("a", "b"), kind="compensable")
+            GenConfig(seed=seed, max_depth=5, alphabet=("a", "b"), kind="comp")
         )
         assert validate_user_term(term) == []
 
@@ -261,7 +289,7 @@ def test_gen_compensable_never_contains_aux():
 
 
 def test_enumerate_zero_ops_standard():
-    got = list(enumerate_terms(0, ("a",), "standard"))
+    got = list(enumerate_terms(0, ("a",), "std"))
     assert got == [A, SKIP, THROW, YIELD]
 
 
@@ -272,18 +300,23 @@ def test_enumerate_counts_match_grammar_arithmetic():
     # exactly one operator: four binary constructors over leaf operands,
     # plus a block over an operator-free compensable
     std1 = 4 * leaves * leaves + pairs0
-    got = list(enumerate_terms(1, ("a",), "standard"))
+    got = list(enumerate_terms(1, ("a",), "std"))
     assert len(got) == leaves + std1 == 84
 
     # one-operator compensables: a pair with one one-operator standard
     # operand, or a binary composition of operator-free pairs
     comp1 = 2 * leaves * std1 + 3 * pairs0 * pairs0
-    comp_got = list(enumerate_terms(1, ("a",), "compensable"))
+    comp_got = list(enumerate_terms(1, ("a",), "comp"))
     assert len(comp_got) == pairs0 + comp1
 
 
+def test_enumerate_refuses_a_negative_pair_operand_cap():
+    with pytest.raises(ValueError, match="nonnegative"):
+        list(enumerate_terms(1, ("a",), "comp", max_pair_operand_ops=-1))
+
+
 def test_enumerate_respects_pair_operand_cap():
-    capped = list(enumerate_terms(2, ("a",), "compensable", max_pair_operand_ops=0))
+    capped = list(enumerate_terms(2, ("a",), "comp", max_pair_operand_ops=0))
     for term in capped:
         for sub in ccsp.terms.subterms(term):
             if isinstance(sub, Pair):
@@ -296,7 +329,7 @@ _OWN_WEIGHT = {Null: 0, Atom: 2, Yield: 2}
 _OPERATORS = (Block, Seq, Choice, Par, Interrupt, CSeq, CChoice, CPar, Aux)
 
 
-@pytest.mark.parametrize("kind", ["standard", "compensable"])
+@pytest.mark.parametrize("kind", ["std", "comp"], ids=["standard", "compensable"])
 def test_cached_op_count_matches_fresh_count(kind):
     # Sizes are fixed when a term is interned; recount them over the whole
     # tree.  The reachable states add the runtime-only Null and Aux nodes.
@@ -314,7 +347,7 @@ def test_cached_op_count_matches_fresh_count(kind):
 
 def test_enumerate_is_duplicate_free_and_valid():
     seen = set()
-    for term in enumerate_terms(2, ("a",), "standard"):
+    for term in enumerate_terms(2, ("a",), "std"):
         assert term not in seen
         seen.add(term)
         assert validate_user_term(term, ("a",)) == []
@@ -329,12 +362,12 @@ def test_enumerate_is_duplicate_free_and_valid():
 def test_enumerate_refuses_a_repeated_event():
     # A repeated event would list `a` and every term over it twice.
     with pytest.raises(ValueError, match="each event once"):
-        list(enumerate_terms(1, ("a", "a"), "standard"))
+        list(enumerate_terms(1, ("a", "a"), "std"))
 
 
 def test_enumerate_is_deterministic():
-    first = list(enumerate_terms(2, ("a", "b"), "standard"))
-    second = list(enumerate_terms(2, ("a", "b"), "standard"))
+    first = list(enumerate_terms(2, ("a", "b"), "std"))
+    second = list(enumerate_terms(2, ("a", "b"), "std"))
     assert first == second
 
 
@@ -344,15 +377,28 @@ def test_enumerate_is_deterministic():
 def test_prop_campaign_deterministic_and_green():
     runs = [
         [
-            (r.kind, pretty_print(r.term), r.verdict.status, r.healthy)
-            for r in run_prop_campaign(11, 60, 4, ("a", "b"), "both")
+            (is_compensable(term), pretty_print(term), verdict.status, healthy)
+            for term, verdict, healthy in run_prop_campaign(11, 60, 4, ("a", "b"), "both")
         ]
         for _ in range(2)
     ]
     assert runs[0] == runs[1]
     assert all(status == "equal" and healthy for _, _, status, healthy in runs[0])
-    kinds = {k for k, *_ in runs[0]}
-    assert kinds == {"std", "comp"}
+    # `both` alternates the two kinds, standard first
+    assert [comp for comp, *_ in runs[0]] == [False, True] * 30
+
+
+def test_check_terms_matches_the_direct_checks():
+    std = list(enumerate_terms(1, ("a",), "std"))
+    comp = list(enumerate_terms(0, ("a",), "comp"))
+    mixed = [term for pair in zip(std, comp) for term in pair]
+    assert {is_compensable(term) for term in mixed} == {False, True}
+    checked = list(check_terms(iter(mixed)))
+    assert [term for term, _, _ in checked] == mixed
+    for term, verdict, healthy in checked:
+        check = check_compensable if is_compensable(term) else check_standard
+        assert verdict == check(term)
+        assert healthy == denotational.check_healthiness(term)
 
 
 # -- mutation sensitivity and counterexample soundness ------------------------
@@ -370,7 +416,7 @@ def test_mutated_seq_success_condition_is_caught(monkeypatch):
     monkeypatch.setattr(denotational, "seq_traces", _mutant_seq_traces)
     try:
         mismatches = []
-        for term in enumerate_terms(2, ("a", "b"), "standard"):
+        for term in enumerate_terms(2, ("a", "b"), "std"):
             verdict = check_standard(term)
             if not verdict.is_equal:
                 mismatches.append(verdict)

@@ -106,9 +106,9 @@ def test_clear_caches_keeps_held_terms_identical():
 
 
 def test_depth_is_fixed_at_interning():
-    for term in enumerate_terms(2, ("a",), "standard"):
+    for term in enumerate_terms(2, ("a",), "std"):
         assert term_depth(term) == _depth_by_traversal(term)
-    for term in enumerate_terms(1, ("a",), "compensable"):
+    for term in enumerate_terms(1, ("a",), "comp"):
         assert term_depth(term) == _depth_by_traversal(term)
     assert term_depth(Aux(Pair(Atom("a"), SKIP), Seq(SKIP, NULL))) == 3
 

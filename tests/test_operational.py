@@ -227,7 +227,7 @@ _seeds = st.integers(0, 2**63 - 1)
 
 @given(_seeds)
 def test_standard_terminal_steps_end_in_null(seed):
-    term = gen_term(GenConfig(seed=seed, max_depth=4, alphabet=("a", "b"), kind="standard"))
+    term = gen_term(GenConfig(seed=seed, max_depth=4, alphabet=("a", "b"), kind="std"))
     for label, succ in step_standard(term):
         if isinstance(label, Terminal):
             assert isinstance(succ, Null)
@@ -238,7 +238,7 @@ def test_standard_terminal_steps_end_in_null(seed):
 @given(_seeds)
 def test_compensable_terminal_steps_bank_standard_compensation(seed):
     term = gen_term(
-        GenConfig(seed=seed, max_depth=4, alphabet=("a", "b"), kind="compensable")
+        GenConfig(seed=seed, max_depth=4, alphabet=("a", "b"), kind="comp")
     )
     for label, succ in step_compensable(term):
         if isinstance(label, Terminal):
@@ -247,6 +247,6 @@ def test_compensable_terminal_steps_bank_standard_compensation(seed):
 
 @given(_seeds)
 def test_derived_healthiness(seed):
-    term = gen_term(GenConfig(seed=seed, max_depth=4, alphabet=("a", "b"), kind="standard"))
+    term = gen_term(GenConfig(seed=seed, max_depth=4, alphabet=("a", "b"), kind="std"))
     terminals = {t.terminal for t in derived_traces_standard(term)}
     assert terminals & {Terminal.TICK, Terminal.THROW}

@@ -194,12 +194,12 @@ def test_whitespace_insensitive():
 @given(
     st.integers(0, 2**63 - 1),
     st.integers(1, 5),
-    st.sampled_from(["standard", "compensable"]),
+    st.sampled_from(["std", "comp"]),
 )
 def test_parse_inverts_pretty_print(seed, depth, kind):
     cfg = GenConfig(seed=seed, max_depth=depth, alphabet=("a", "b", "c"), kind=kind)
     term = gen_term(cfg)
-    parse = parse_standard if kind == "standard" else parse_compensable
+    parse = parse_standard if kind == "std" else parse_compensable
     assert parse(pretty_print(term)) is term
 
 
@@ -242,10 +242,11 @@ def write_golden() -> None:
 
 @pytest.mark.parametrize(
     "kind,max_ops,count",
-    [("standard", 2, 8255), ("compensable", 1, 3150)],
+    [("std", 2, 8255), ("comp", 1, 3150)],
+    ids=["standard-2-8255", "compensable-1-3150"],
 )
 def test_parse_inverts_pretty_print_exhaustively(kind, max_ops, count):
-    parse = parse_standard if kind == "standard" else parse_compensable
+    parse = parse_standard if kind == "std" else parse_compensable
     terms = list(enumerate_terms(max_ops, ("a", "b"), kind))
     assert len(terms) == count
     for term in terms:

@@ -248,7 +248,7 @@ _gen_cfgs = st.builds(
     seed=st.integers(0, 2**63 - 1),
     max_depth=st.integers(1, 5),
     alphabet=st.just(("a", "b")),
-    kind=st.sampled_from(["standard", "compensable"]),
+    kind=st.sampled_from(["std", "comp"]),
 )
 
 
@@ -258,7 +258,7 @@ def test_generated_terms_are_valid_and_round_trip(cfg):
     assert validate_user_term(term, cfg.alphabet) == []
     assert term_depth(term) <= cfg.max_depth + 1
     text = pretty_print(term)
-    parse = parse_standard if cfg.kind == "standard" else parse_compensable
+    parse = parse_standard if cfg.kind == "std" else parse_compensable
     assert parse(text) is term
 
 

@@ -7,9 +7,12 @@ fixed list runs as `python3 -m ccsp.cli ARGV` in a fresh process, once
 against each checkout's `src/` (PYTHONPATH=<checkout>/src), two argvs at a
 time.  The exit code, stdout and stderr must match exactly.  Prints `same`
 or `DIFF` per argv and exits 1 on any difference.  The list: two
-`enumerate --check` runs, a seeded `prop --lemmas` campaign at
-`--max-depth 5` and four shorter ones at depths 1, 2, 3 and 8 (leaf-only,
-shallow and deep generator tables), `example warehouse`, then `check`,
+`enumerate --check` runs and one compensable listing, a seeded
+`prop --lemmas` campaign at `--max-depth 5` and four shorter ones at
+depths 1, 2, 3 and 8 (leaf-only, shallow and deep generator tables),
+`prop` with `--kind std` and with `--kind comp` (each case's kind label),
+a `prop` that exceeds `--state-cap 5` (exit 1, the error on stderr),
+`example warehouse`, then `check`,
 `traces`, `traces --format machine` and `lts` on every term of
 `tests/data/pinned_values.txt`, and `check` on every input of
 `tests/data/parse_errors_golden.txt`; both files are read from the
@@ -34,9 +37,13 @@ def argvs() -> list[list[str]]:
     runs = [
         ["enumerate", "--max-ops", "2", "--alphabet", "a,b", "--check"],
         ["enumerate", "--max-ops", "1", "--alphabet", "a,b", "--kind", "comp", "--check"],
+        ["enumerate", "--max-ops", "1", "--alphabet", "a,b", "--kind", "comp"],
         ["prop", "--seed", "42", "--cases", "2000", "--max-depth", "5", "--lemmas"],
         *(["prop", "--seed", "7", "--cases", "300", "--max-depth", str(depth), "--kind", "both",
            "--lemmas", "--lemma-cases", "50"] for depth in (1, 2, 3, 8)),
+        *(["prop", "--seed", "7", "--cases", "300", "--max-depth", "4", "--kind", kind]
+          for kind in ("std", "comp")),
+        ["prop", "--seed", "3", "--cases", "200", "--max-depth", "4", "--state-cap", "5"],
         ["example", "warehouse"],
     ]
     for line in (DATA / "pinned_values.txt").read_text(encoding="utf-8").splitlines():
