@@ -32,7 +32,6 @@ from .equivalence import (
     run_prop_campaign,
 )
 from .operational import (
-    DEFAULT_STATE_CAP,
     StateCapExceeded,
     build_lts,
     clear_caches as clear_step_memos,
@@ -153,7 +152,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also run the decomposition-law suites (laws 1-7)",
     )
     p_prop.add_argument("--lemma-cases", type=_COUNT, default=500)
-    p_prop.add_argument("--state-cap", type=_POSITIVE, default=DEFAULT_STATE_CAP)
 
     p_enum = sub.add_parser(
         "enumerate", help="enumerate all terms up to an operator budget"
@@ -172,7 +170,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="check semantic equivalence of every enumerated term",
     )
-    p_enum.add_argument("--state-cap", type=_POSITIVE, default=DEFAULT_STATE_CAP)
 
     p_example = sub.add_parser("example", help="run a bundled scenario")
     p_example.add_argument("name", choices=("warehouse",))
@@ -190,9 +187,9 @@ def run(argv: Sequence[str] | None = None) -> int:
     9.1 s `enumerate --check` call over 111 089 terms, in 2 498 collections
     (2 cores, Python 3.11.7).
 
-    Each command starts from empty memo tables, as in a fresh process, so
-    its output, and whether it exceeds `--state-cap`, does not depend on
-    what ran before it.
+    Each command starts from empty memo tables, as in a fresh process: the
+    state cap charges only states missing from them, so without the reset
+    the output and exit code would depend on what ran before.
     """
     parser = _build_parser()
     try:
@@ -310,9 +307,7 @@ def _cmd_prop(args) -> int:
     equal = 0
     healthy = 0
     failed = False
-    cases = run_prop_campaign(
-        args.seed, args.cases, args.max_depth, args.alphabet, args.kind, args.state_cap
-    )
+    cases = run_prop_campaign(args.seed, args.cases, args.max_depth, args.alphabet, args.kind)
     for index, (term, verdict, is_healthy) in enumerate(cases):
         ok = verdict.is_equal
         equal += ok
@@ -334,8 +329,7 @@ def _cmd_prop(args) -> int:
         lemma_equal = 0
         for lemma in sorted(LAWS):
             suite = run_lemma_suite(
-                lemma, args.lemma_cases, args.seed, args.max_depth, args.alphabet,
-                args.state_cap,
+                lemma, args.lemma_cases, args.seed, args.max_depth, args.alphabet
             )
             lemma_total += suite.total
             lemma_equal += suite.equal
@@ -370,7 +364,7 @@ def _cmd_enumerate(args) -> int:
     mismatches = 0
     unhealthy = 0
     total = 0
-    for term, verdict, healthy in check_terms(terms, args.state_cap):
+    for term, verdict, healthy in check_terms(terms):
         level = term_op_count(term)
         counts = per_level.setdefault(level, [0, 0])
         counts[0] += 1

@@ -35,13 +35,7 @@ from .denotational import (
     traces_compensable,
     traces_standard,
 )
-from .operational import (
-    DEFAULT_STATE_CAP,
-    derived_forward,
-    derived_traces_compensable,
-    derived_traces_standard,
-    run_lifted,
-)
+from .operational import derived_forward, derived_traces_compensable, derived_traces_standard
 from .terms import (
     Atom,
     Aux,
@@ -62,6 +56,7 @@ from .terms import (
     THROW,
     YIELD,
     is_compensable,
+    is_event_name,
     is_standard,
 )
 
@@ -91,32 +86,17 @@ class Verdict:
         return "equal" if self.is_equal else "mismatch"
 
 
-def check_standard(term: StandardTerm, state_cap: int = DEFAULT_STATE_CAP) -> Verdict:
+def check_standard(term: StandardTerm) -> Verdict:
     """Exact two-way comparison of derived and compositional traces."""
-    derived = derived_traces_standard(term, state_cap)
+    derived = derived_traces_standard(term)
     denoted = traces_standard(term)
     return Verdict(term, frozenset(derived - denoted), frozenset(denoted - derived))
 
 
-def check_compensable(term: CompensableTerm, state_cap: int = DEFAULT_STATE_CAP) -> Verdict:
-    derived = derived_traces_compensable(term, state_cap)
+def check_compensable(term: CompensableTerm) -> Verdict:
+    derived = derived_traces_compensable(term)
     denoted = traces_compensable(term)
     return Verdict(term, frozenset(derived - denoted), frozenset(denoted - derived))
-
-
-def verify_verdict_soundness(verdict: Verdict) -> bool:
-    """Confirm a mismatch verdict's evidence: every listed trace must
-    belong to exactly the semantics that claims it."""
-    term = verdict.term
-    if is_compensable(term):
-        in_operational = derived_traces_compensable(term).__contains__
-        denoted = traces_compensable(term)
-    else:
-        in_operational = lambda t: run_lifted(term, t)
-        denoted = traces_standard(term)
-    return all(
-        in_operational(t) and t not in denoted for t in verdict.only_operational
-    ) and all(t in denoted and not in_operational(t) for t in verdict.only_denotational)
 
 
 # ---------------------------------------------------------------------------
@@ -124,30 +104,30 @@ def verify_verdict_soundness(verdict: Verdict) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _derived(term, cap: int):
+def _derived(term):
     """The derived traces (or trace pairs) of a term of either kind."""
     if is_compensable(term):
-        return derived_traces_compensable(term, cap)
-    return derived_traces_standard(term, cap)
+        return derived_traces_compensable(term)
+    return derived_traces_standard(term)
 
 
 def _clause_law(ctor, lift):
     """The law that the runs of `ctor(*operands)` are `lift`, the trace
     semantics' clause for `ctor`, applied to the runs of the operands."""
 
-    def law(cap, *operands):
+    def law(*operands):
         term = ctor(*operands)
-        return term, _derived(term, cap), lift(*(_derived(o, cap) for o in operands))
+        return term, _derived(term), lift(*map(_derived, operands))
 
     return law
 
 
-def _law_seq_forward(cap, pp, qq):
+def _law_seq_forward(pp, qq):
     term = CSeq(pp, qq)
-    lhs = derived_forward(term, cap)
+    lhs = derived_forward(term)
     rhs = set()
-    for p, banked_p in derived_forward(pp, cap):
-        for q, banked_q in derived_forward(qq, cap):
+    for p, banked_p in derived_forward(pp):
+        for q, banked_q in derived_forward(qq):
             if p.terminal is Terminal.TICK:
                 rhs.add((seq_traces(p, q), Seq(banked_q, banked_p)))
             else:
@@ -155,26 +135,26 @@ def _law_seq_forward(cap, pp, qq):
     return term, lhs, frozenset(rhs)
 
 
-def _law_aux_removal(cap, qq, p):
+def _law_aux_removal(qq, p):
     term = Aux(qq, p)
-    lhs = derived_forward(term, cap)
-    return term, lhs, frozenset((t, Seq(banked, p)) for t, banked in derived_forward(qq, cap))
+    lhs = derived_forward(term)
+    return term, lhs, frozenset((t, Seq(banked, p)) for t, banked in derived_forward(qq))
 
 
-def _law_par_forward(cap, pp, qq):
+def _law_par_forward(pp, qq):
     term = CPar(pp, qq)
-    lhs = derived_forward(term, cap)
+    lhs = derived_forward(term)
     rhs = frozenset(
         (t, Par(banked_p, banked_q))
-        for p, banked_p in derived_forward(pp, cap)
-        for q, banked_q in derived_forward(qq, cap)
+        for p, banked_p in derived_forward(pp)
+        for q, banked_q in derived_forward(qq)
         for t in par_traces(p, q)
     )
     return term, lhs, rhs
 
 
-#: law id -> (name, operand kinds, implementation(state_cap, *operands)
-#: returning the composite term, its runs and the formula's side)
+#: law id -> (name, operand kinds, implementation(*operands) returning the
+#: composite term, its runs and the formula's side)
 LAWS: dict[int, tuple[str, tuple[str, ...], object]] = {
     1: ("seq-standard", ("std", "std"), _clause_law(Seq, lift_seq)),
     2: ("par-standard", ("std", "std"), _clause_law(Par, lift_par)),
@@ -192,7 +172,7 @@ def _law(lemma: int) -> tuple:
     return LAWS[lemma]
 
 
-def check_lemma(lemma: int, operands: tuple, state_cap: int = DEFAULT_STATE_CAP) -> Verdict:
+def check_lemma(lemma: int, operands: tuple) -> Verdict:
     """Check one decomposition law (1-7) on concrete operand terms."""
     _, kinds, impl = _law(lemma)
     if len(operands) != len(kinds):
@@ -201,7 +181,7 @@ def check_lemma(lemma: int, operands: tuple, state_cap: int = DEFAULT_STATE_CAP)
         ok = is_standard(operand) if kind == "std" else is_compensable(operand)
         if not ok:
             raise ValueError(f"law {lemma} operand kinds are {kinds}")
-    term, lhs, rhs = impl(state_cap, *operands)
+    term, lhs, rhs = impl(*operands)
     return Verdict(term, frozenset(lhs - rhs), frozenset(rhs - lhs))
 
 
@@ -232,6 +212,11 @@ class GenConfig:
             raise ValueError("max_depth must be at least 1")
         if not self.alphabet:
             raise ValueError("alphabet must be nonempty")
+        for name in self.alphabet:
+            if not is_event_name(name):
+                raise ValueError(f"invalid event name: {name!r}")
+        if len(set(self.alphabet)) < len(self.alphabet):
+            raise ValueError("alphabet must list each event once")
         if self.kind not in ("std", "comp"):
             raise ValueError(f"unknown kind: {self.kind!r}")
 
@@ -419,13 +404,13 @@ def maybe_trim_caches() -> None:
 
 
 def check_terms(
-    terms: Iterable[StandardTerm | CompensableTerm], state_cap: int = DEFAULT_STATE_CAP
+    terms: Iterable[StandardTerm | CompensableTerm],
 ) -> Iterator[tuple[StandardTerm | CompensableTerm, Verdict, bool]]:
     """`(term, verdict, healthy)` for each term, checked by its kind; the
     memo tables are trimmed once the consumer has taken each item."""
     for term in terms:
         check = check_compensable if is_compensable(term) else check_standard
-        yield term, check(term, state_cap), check_healthiness(term)
+        yield term, check(term), check_healthiness(term)
         maybe_trim_caches()
 
 
@@ -435,19 +420,21 @@ def run_prop_campaign(
     max_depth: int,
     alphabet: tuple[Event, ...],
     kind: str,  # "std" | "comp" | "both"
-    state_cap: int = DEFAULT_STATE_CAP,
 ) -> Iterator[tuple[StandardTerm | CompensableTerm, Verdict, bool]]:
     """Seeded `check_terms` campaign; `both` alternates the two kinds,
     standard first.
 
     The per-case terms are a pure function of the arguments (one seed drawn
-    per case, in order), so transcripts are reproducible.
+    per case, in order), so transcripts are reproducible.  A negative
+    `cases` is a `ValueError`, raised at the first `next()`.
     """
+    if cases < 0:
+        raise ValueError("cases must be nonnegative")
     rng = random.Random(seed)
     kinds = ("std", "comp") if kind == "both" else (kind,)
     configs = (GenConfig(rng.getrandbits(63), max_depth, alphabet, kinds[i % len(kinds)])
                for i in range(cases))
-    yield from check_terms(map(gen_term, configs), state_cap)
+    yield from check_terms(map(gen_term, configs))
 
 
 @dataclass
@@ -468,9 +455,10 @@ def run_lemma_suite(
     seed: int,
     max_depth: int,
     alphabet: tuple[Event, ...],
-    state_cap: int = DEFAULT_STATE_CAP,
 ) -> LemmaSuiteResult:
     """Check one law on `cases` seeded operand tuples."""
+    if cases < 0:
+        raise ValueError("cases must be nonnegative")
     name, kinds, _ = _law(lemma)
     result = LemmaSuiteResult(lemma, name)
     rng = random.Random((seed << 3) ^ lemma)
@@ -479,26 +467,24 @@ def run_lemma_suite(
             gen_term(GenConfig(rng.getrandbits(63), max_depth, alphabet, k)) for k in kinds
         )
         result.total += 1
-        if check_lemma(lemma, operands, state_cap).is_equal:
+        if check_lemma(lemma, operands).is_equal:
             result.equal += 1
         else:
             result.failures.append(operands)
-        _record_coverage(result, lemma, operands, state_cap)
+        _record_coverage(result, lemma, operands)
         maybe_trim_caches()
     return result
 
 
-def _record_coverage(
-    result: LemmaSuiteResult, lemma: int, operands: tuple, state_cap: int
-) -> None:
+def _record_coverage(result: LemmaSuiteResult, lemma: int, operands: tuple) -> None:
     cov = result.coverage
     if lemma == 3:
-        terminals = {t.terminal for t, _ in derived_forward(operands[0], state_cap)}
+        terminals = {t.terminal for t, _ in derived_forward(operands[0])}
         if Terminal.TICK in terminals:
             cov["cond-true"] = cov.get("cond-true", 0) + 1
         if terminals - {Terminal.TICK}:
             cov["cond-false"] = cov.get("cond-false", 0) + 1
     elif lemma == 6:
-        terminals = {t.terminal for t in derived_traces_standard(operands[0], state_cap)}
+        terminals = {t.terminal for t in derived_traces_standard(operands[0])}
         if Terminal.THROW in terminals:
             cov["forward-throw"] = cov.get("forward-throw", 0) + 1

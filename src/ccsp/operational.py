@@ -12,7 +12,7 @@ Lifting single steps over event sequences gives runs; the derived traces
 of a term are the labels of its maximal runs.  Both are computed by
 exhaustive exploration, which terminates because every step strictly
 decreases `term_weight`.  Exploration shares memo tables across calls and
-charges each freshly explored term against a state cap so that pathological
+charges each freshly explored term against `STATE_CAP` so that pathological
 terms fail loudly instead of thrashing.
 """
 from __future__ import annotations
@@ -50,7 +50,9 @@ from .terms import (
     unchecked_trace,
 )
 
-DEFAULT_STATE_CAP = 100_000
+#: The most fresh states one call may explore; memo hits left by earlier
+#: calls are free.  Read when a call starts, so tests can patch it.
+STATE_CAP = 100_000
 
 #: A transition label: the event name, or the terminal for a terminal step.
 Label = Union[Event, Terminal]
@@ -63,7 +65,7 @@ _YIELD = Terminal.YIELD
 
 
 class StateCapExceeded(RuntimeError):
-    """Exploration touched more fresh states than the configured cap."""
+    """Exploration touched more fresh states than `STATE_CAP`."""
 
     def __init__(self, cap: int):
         super().__init__(f"state cap exceeded: more than {cap} states explored")
@@ -238,29 +240,26 @@ def _runs(term: StandardTerm, t: Trace, i: int) -> bool:
 
 
 class _Budget:
-    __slots__ = ("remaining", "cap")
+    __slots__ = ("remaining",)
 
-    def __init__(self, cap: int):
-        self.remaining = cap
-        self.cap = cap
+    def __init__(self):
+        self.remaining = STATE_CAP
 
     def spend(self) -> None:
         self.remaining -= 1
         if self.remaining < 0:
-            raise StateCapExceeded(self.cap)
+            raise StateCapExceeded(STATE_CAP)
 
 
 _DT_STD: dict[StandardTerm, frozenset[Trace]] = {}
 _FORWARD: dict[CompensableTerm, frozenset[tuple[Trace, StandardTerm]]] = {}
 
 
-def derived_traces_standard(
-    term: StandardTerm, state_cap: int = DEFAULT_STATE_CAP
-) -> frozenset[Trace]:
+def derived_traces_standard(term: StandardTerm) -> frozenset[Trace]:
     """The labels of all maximal runs of a standard term."""
     if isinstance(term, Null):
         raise ValueError("the null process has no derived traces")
-    return _dt_std(term, _Budget(state_cap))
+    return _dt_std(term, _Budget())
 
 
 def _dt_std(term: StandardTerm, budget: _Budget) -> frozenset[Trace]:
@@ -280,12 +279,10 @@ def _dt_std(term: StandardTerm, budget: _Budget) -> frozenset[Trace]:
     return result
 
 
-def derived_forward(
-    term: CompensableTerm, state_cap: int = DEFAULT_STATE_CAP
-) -> frozenset[tuple[Trace, StandardTerm]]:
+def derived_forward(term: CompensableTerm) -> frozenset[tuple[Trace, StandardTerm]]:
     """All (forward trace, banked compensation) outcomes of a compensable
     term's forward runs."""
-    return _forward(term, _Budget(state_cap))
+    return _forward(term, _Budget())
 
 
 def _forward(term: CompensableTerm, budget: _Budget) -> frozenset[tuple[Trace, StandardTerm]]:
@@ -305,11 +302,9 @@ def _forward(term: CompensableTerm, budget: _Budget) -> frozenset[tuple[Trace, S
     return result
 
 
-def derived_traces_compensable(
-    term: CompensableTerm, state_cap: int = DEFAULT_STATE_CAP
-) -> frozenset[TracePair]:
+def derived_traces_compensable(term: CompensableTerm) -> frozenset[TracePair]:
     """Forward runs continued through their banked compensations."""
-    budget = _Budget(state_cap)
+    budget = _Budget()
     return frozenset(
         TracePair(t, t2)
         for t, banked in _forward(term, budget)
@@ -370,17 +365,20 @@ def _canonical_steps(node: LtsNode) -> list[Step]:
     return sorted(steps, key=_step_key)
 
 
-def build_lts(term: LtsNode, state_cap: int = DEFAULT_STATE_CAP) -> Lts:
+def build_lts(term: LtsNode) -> Lts:
     """Explore the full reachable graph under the step functions.
 
     This is the one place where steps are put in canonical order: terminals
     first by terminal order, then events alphabetically, then successors
     by their rendering.  Terminal steps of compensable nodes lead into the standard graph of the
     banked compensation, so the graph of a compensable term shows the
-    compensation runs as well.
+    compensation runs as well.  A graph of more than `STATE_CAP` nodes
+    raises `StateCapExceeded`.
     """
     if isinstance(term, Null):
         raise ValueError("the null process is not a valid root")
+    budget = _Budget()
+    budget.spend()
     nodes: list[LtsNode] = [term]
     seen = {term}
     edges: list[LtsEdge] = []
@@ -389,8 +387,7 @@ def build_lts(term: LtsNode, state_cap: int = DEFAULT_STATE_CAP) -> Lts:
         node = queue.popleft()
         for label, succ in _canonical_steps(node):
             if succ not in seen:
-                if len(seen) >= state_cap:
-                    raise StateCapExceeded(state_cap)
+                budget.spend()
                 seen.add(succ)
                 nodes.append(succ)
                 queue.append(succ)

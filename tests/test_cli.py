@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import ccsp
-from ccsp import cli
+from ccsp import cli, operational
 from ccsp.cli import run
 from ccsp.denotational import traces_compensable, traces_standard
 from ccsp.parser import MAX_DEPTH, parse_compensable, parse_standard
@@ -215,22 +215,25 @@ def test_prop_with_lemma_suites():
         assert f"lemma {lemma} " in out
 
 
-def test_prop_state_cap_bounds_the_law_suites():
-    code, out, err = invoke(
-        ["prop", "--cases", "0", "--lemmas", "--lemma-cases", "3", "--state-cap", "1"]
-    )
+def test_prop_state_cap_bounds_the_law_suites(monkeypatch):
+    monkeypatch.setattr(operational, "STATE_CAP", 1)
+    code, out, err = invoke(["prop", "--cases", "0", "--lemmas", "--lemma-cases", "3"])
     assert code == 1
     assert "lemmas equal" not in out
     assert err == "error: state cap exceeded: more than 1 states explored\n"
 
 
-def test_state_cap_outcome_does_not_depend_on_earlier_commands():
-    # Each command starts from empty memo tables: an uncapped run of the
-    # same campaign must not leave states that the capped run then skips.
-    capped = ["prop", "--seed", "3", "--cases", "200", "--max-depth", "4", "--state-cap", "5"]
-    before = invoke(capped)
-    assert invoke(capped[:-2])[0] == 0
-    assert invoke(capped) == before
+def test_state_cap_outcome_does_not_depend_on_earlier_commands(monkeypatch):
+    # Each command starts from empty memo tables: a run of the same campaign
+    # at the default cap must not leave states that a low-cap run then skips.
+    argv = ["prop", "--seed", "3", "--cases", "200", "--max-depth", "4"]
+    default = operational.STATE_CAP
+    monkeypatch.setattr(operational, "STATE_CAP", 5)
+    before = invoke(argv)
+    monkeypatch.setattr(operational, "STATE_CAP", default)
+    assert invoke(argv)[0] == 0
+    monkeypatch.setattr(operational, "STATE_CAP", 5)
+    assert invoke(argv) == before
     assert before[0] == 1
     assert before[2] == "error: state cap exceeded: more than 5 states explored\n"
 
@@ -350,17 +353,19 @@ def test_campaign_leaves_no_cyclic_garbage(small, large):
 
 
 @pytest.mark.parametrize(
-    "argv,code",
+    "argv,code,cap",
     [
-        (["check", "a ; b"], 0),
-        (["prop", "--cases", "5", "--state-cap", "1"], 1),
-        (["check", "a ;"], 2),
-        (["check", "--no-such-option", "a"], 2),
+        (["check", "a ; b"], 0, None),
+        (["prop", "--cases", "5"], 1, 1),
+        (["check", "a ;"], 2, None),
+        (["check", "--no-such-option", "a"], 2, None),
     ],
     ids=["equal", "state-cap", "parse-error", "usage-error"],
 )
 @pytest.mark.parametrize("collecting", [True, False], ids=["gc-on", "gc-off"])
-def test_run_restores_the_collector(argv, code, collecting):
+def test_run_restores_the_collector(monkeypatch, argv, code, cap, collecting):
+    if cap is not None:
+        monkeypatch.setattr(operational, "STATE_CAP", cap)
     (gc.enable if collecting else gc.disable)()
     try:
         assert invoke(argv)[0] == code
@@ -377,9 +382,8 @@ def test_run_restores_the_collector(argv, code, collecting):
         ["prop", "--cases", "-3"],
         ["prop", "--lemmas", "--lemma-cases", "-1"],
         ["enumerate", "--max-ops", "1", "--kind", "comp", "--max-pair-ops", "-1"],
-        ["prop", "--cases", "2", "--state-cap", "-1"],
     ],
-    ids=["max-depth", "max-ops", "cases", "lemma-cases", "max-pair-ops", "state-cap"],
+    ids=["max-depth", "max-ops", "cases", "lemma-cases", "max-pair-ops"],
 )
 def test_out_of_range_numeric_option_is_a_usage_error(argv):
     code, out, err = invoke(argv)
@@ -387,6 +391,17 @@ def test_out_of_range_numeric_option_is_a_usage_error(argv):
     assert out == ""
     assert "usage:" in err and "must be at least" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv", [["prop"], ["enumerate", "--max-ops", "1"]], ids=["prop", "enumerate"]
+)
+def test_state_cap_is_not_an_option(argv):
+    # The cap is a constant of `ccsp.operational`, not a user setting.
+    code, out, err = invoke([*argv, "--state-cap", "5"])
+    assert code == 2
+    assert out == ""
+    assert "usage:" in err and "unrecognized arguments: --state-cap 5" in err
 
 
 @pytest.mark.parametrize("collecting", [True, False], ids=["gc-on", "gc-off"])

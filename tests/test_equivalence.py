@@ -17,9 +17,8 @@ from ccsp.equivalence import (
     gen_term,
     run_lemma_suite,
     run_prop_campaign,
-    verify_verdict_soundness,
 )
-from ccsp.operational import build_lts
+from ccsp.operational import build_lts, run_lifted
 from ccsp.terms import (
     SKIP,
     THROW,
@@ -143,6 +142,17 @@ def test_lemma_suite_rejects_an_unknown_law():
         run_lemma_suite(8, 1, 0, 3, ("a",))
 
 
+def test_prop_campaign_refuses_a_negative_case_count():
+    cases = run_prop_campaign(1, -3, 3, ("a", "b"), "both")
+    with pytest.raises(ValueError, match="cases must be nonnegative"):
+        next(cases)
+
+
+def test_lemma_suite_refuses_a_negative_case_count():
+    with pytest.raises(ValueError, match="cases must be nonnegative"):
+        run_lemma_suite(1, -5, 0, 3, ("a",))
+
+
 def test_lemma_suite_covers_both_cond_branches_and_forward_throw():
     s3 = run_lemma_suite(3, 100, 42, 4, ("a", "b"))
     assert s3.equal == s3.total == 100
@@ -167,6 +177,18 @@ def test_gen_config_validation():
         GenConfig(seed=0, max_depth=2, alphabet=(), kind="std")
     with pytest.raises(ValueError):
         GenConfig(seed=0, max_depth=2, alphabet=("a",), kind="mixed")
+
+
+def test_gen_config_refuses_a_repeated_event():
+    # A repeated event would be drawn twice as often as the others.
+    with pytest.raises(ValueError, match="alphabet must list each event once"):
+        GenConfig(1, 3, ("a", "a"), "std")
+
+
+def test_gen_config_refuses_an_invalid_event_name():
+    # `SKIP` names a process, not an event; it used to pass until an atom was drawn.
+    with pytest.raises(ValueError, match="invalid event name: 'SKIP'"):
+        gen_term(GenConfig(1, 3, ("SKIP",), "std"))
 
 
 @pytest.mark.parametrize("kind", ["standard", "compensable"])
@@ -426,7 +448,11 @@ def test_mutated_seq_success_condition_is_caught(monkeypatch):
         # the evidence must be real: every reported trace belongs to exactly
         # one of the (current) semantics
         for verdict in mismatches:
-            assert verify_verdict_soundness(verdict)
+            term, denoted = verdict.term, denotational.traces_standard(verdict.term)
+            for t in verdict.only_operational:
+                assert run_lifted(term, t) and t not in denoted
+            for t in verdict.only_denotational:
+                assert t in denoted and not run_lifted(term, t)
     finally:
         ccsp.clear_caches()
 

@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from ccsp.equivalence import GenConfig, gen_term
+from ccsp import operational
+from ccsp.equivalence import GenConfig, check_lemma, gen_term
 from ccsp.operational import (
     Lts,
     StateCapExceeded,
@@ -198,10 +199,42 @@ def test_lts_compensable_root_continues_into_compensation():
     assert B in lts.nodes and NULL in lts.nodes
 
 
-def test_lts_state_cap():
+def test_lts_state_cap(monkeypatch):
+    monkeypatch.setattr(operational, "STATE_CAP", 3)
     with pytest.raises(StateCapExceeded) as exc:
-        build_lts(Par(Par(A, B), Par(Atom("c"), Atom("d"))), state_cap=3)
+        build_lts(Par(Par(A, B), Par(Atom("c"), Atom("d"))))
     assert "3" in str(exc.value)
+
+
+def test_lts_state_cap_bounds_the_node_count(monkeypatch):
+    # `a || b` has five nodes, the null process included.
+    monkeypatch.setattr(operational, "STATE_CAP", 5)
+    assert len(build_lts(Par(A, B)).nodes) == 5
+    monkeypatch.setattr(operational, "STATE_CAP", 4)
+    with pytest.raises(StateCapExceeded, match="more than 4 states"):
+        build_lts(Par(A, B))
+
+
+_BIG = Par(Par(A, B), Par(Atom("c"), Atom("d")))  # 16 states before null
+
+
+@pytest.mark.parametrize(
+    "explore",
+    [
+        lambda: derived_traces_standard(_BIG),
+        lambda: derived_forward(Pair(_BIG, SKIP)),
+        # one fresh forward state; the budget runs out in the compensation
+        lambda: derived_traces_compensable(Pair(SKIP, _BIG)),
+        lambda: build_lts(_BIG),
+        lambda: check_lemma(1, (_BIG, A)),
+    ],
+    ids=["derived_traces_standard", "derived_forward", "derived_traces_compensable",
+         "build_lts", "check_lemma"],
+)
+def test_every_exploration_charges_the_state_cap(monkeypatch, explore):
+    monkeypatch.setattr(operational, "STATE_CAP", 4)
+    with pytest.raises(StateCapExceeded, match="more than 4 states"):
+        explore()
 
 
 def test_lts_deterministic_and_dot_output():

@@ -11,8 +11,7 @@ or `DIFF` per argv and exits 1 on any difference.  The list: two
 `prop --lemmas` campaign at `--max-depth 5` and four shorter ones at
 depths 1, 2, 3 and 8 (leaf-only, shallow and deep generator tables),
 `prop` with `--kind std` and with `--kind comp` (each case's kind label),
-a `prop` that exceeds `--state-cap 5` (exit 1, the error on stderr),
-`example warehouse`, then `check`,
+`prop --seed 3 --cases 200 --max-depth 4`, `example warehouse`, then `check`,
 `traces`, `traces --format machine` and `lts` on every term of
 `tests/data/pinned_values.txt`, and `check` on every input of
 `tests/data/parse_errors_golden.txt`; both files are read from the
@@ -43,7 +42,7 @@ def argvs() -> list[list[str]]:
            "--lemmas", "--lemma-cases", "50"] for depth in (1, 2, 3, 8)),
         *(["prop", "--seed", "7", "--cases", "300", "--max-depth", "4", "--kind", kind]
           for kind in ("std", "comp")),
-        ["prop", "--seed", "3", "--cases", "200", "--max-depth", "4", "--state-cap", "5"],
+        ["prop", "--seed", "3", "--cases", "200", "--max-depth", "4"],
         ["example", "warehouse"],
     ]
     for line in (DATA / "pinned_values.txt").read_text(encoding="utf-8").splitlines():
