@@ -41,8 +41,8 @@ from .operational import (
 from .parser import ParseError, parse_compensable, parse_standard
 from .terms import (
     by_sort_key,
+    check_alphabet,
     is_compensable,
-    is_event_name,
     pair_tokens,
     pretty_print,
     term_op_count,
@@ -56,15 +56,10 @@ def _parse_term(text: str, kind: str):
 
 
 def _split_alphabet(text: str) -> tuple[str, ...]:
-    names = tuple(part.strip() for part in text.split(",") if part.strip())
-    for name in names:
-        if not is_event_name(name):
-            raise argparse.ArgumentTypeError(f"invalid event name: {name!r}")
-    if not names:
-        raise argparse.ArgumentTypeError("alphabet must list at least one event")
-    if len(set(names)) < len(names):
-        raise argparse.ArgumentTypeError("alphabet must list each event once")
-    return names
+    try:
+        return check_alphabet(part.strip() for part in text.split(",") if part.strip())
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
 
 
 def _int_at_least(low: int):

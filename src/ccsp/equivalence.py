@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import random
 from bisect import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import accumulate
 from typing import Iterable, Iterator
 
@@ -55,8 +55,8 @@ from .terms import (
     Terminal,
     THROW,
     YIELD,
+    check_alphabet,
     is_compensable,
-    is_event_name,
     is_standard,
 )
 
@@ -210,13 +210,7 @@ class GenConfig:
     def __post_init__(self):
         if self.max_depth < 1:
             raise ValueError("max_depth must be at least 1")
-        if not self.alphabet:
-            raise ValueError("alphabet must be nonempty")
-        for name in self.alphabet:
-            if not is_event_name(name):
-                raise ValueError(f"invalid event name: {name!r}")
-        if len(set(self.alphabet)) < len(self.alphabet):
-            raise ValueError("alphabet must list each event once")
+        check_alphabet(self.alphabet)
         if self.kind not in ("std", "comp"):
             raise ValueError(f"unknown kind: {self.kind!r}")
 
@@ -314,8 +308,8 @@ def enumerate_terms(
     `max_pair_operand_ops` additionally caps the operator count of each
     pair operand (useful to keep compensable enumeration finite-friendly);
     a negative cap is a `ValueError`, like a negative `max_ops`.
-    A repeated event in `alphabet` is a `ValueError`: it would list its
-    atoms, and every term over them, twice.
+    The alphabet is checked by `check_alphabet`: an empty one, an invalid
+    name or a repeated event is a `ValueError`.
     """
     if max_ops < 0:
         raise ValueError("max_ops must be nonnegative")
@@ -323,69 +317,50 @@ def enumerate_terms(
         raise ValueError("max_pair_operand_ops must be nonnegative")
     if kind not in ("std", "comp"):
         raise ValueError(f"unknown kind: {kind!r}")
-    alphabet = tuple(alphabet)
-    if len(set(alphabet)) < len(alphabet):
-        raise ValueError("alphabet must list each event once")
-    worlds = _EnumWorld(alphabet, max_pair_operand_ops)
-    exact = worlds.std_exact if kind == "std" else worlds.comp_exact
-    for k in range(max_ops + 1):
-        yield from exact(k, store=k < max_ops)
+    world = _EnumWorld(check_alphabet(alphabet), max_pair_operand_ops)
+    compensable = kind == "comp"
+    for k in range(max_ops):
+        yield from world.stored(compensable, k)
+    yield from world.exact(compensable, max_ops)
 
 
 class _EnumWorld:
-    """Level-by-level term tables; the top level streams without storage."""
+    """Term levels by kind and operator count: every level below the top is
+    stored, while the top level and `Block` bodies stream."""
 
     def __init__(self, alphabet: tuple[Event, ...], pair_cap: int | None):
         self.alphabet = alphabet
         self.pair_cap = pair_cap
-        self.std_levels: dict[int, list[StandardTerm]] = {}
-        self.comp_levels: dict[int, list[CompensableTerm]] = {}
+        self.levels: dict[tuple[bool, int], list] = {}
 
-    def std_stored(self, k: int) -> list[StandardTerm]:
-        if k not in self.std_levels:
-            self.std_levels[k] = list(self.std_exact(k, store=False))
-        return self.std_levels[k]
+    def stored(self, compensable: bool, k: int) -> list:
+        level = self.levels.get((compensable, k))
+        if level is None:
+            level = self.levels[compensable, k] = list(self.exact(compensable, k))
+        return level
 
-    def comp_stored(self, k: int) -> list[CompensableTerm]:
-        if k not in self.comp_levels:
-            self.comp_levels[k] = list(self.comp_exact(k, store=False))
-        return self.comp_levels[k]
-
-    def std_exact(self, k: int, store: bool) -> Iterator[StandardTerm]:
-        if store:
-            yield from self.std_stored(k)
-            return
-        if k == 0:
-            for e in sorted(self.alphabet):
-                yield Atom(e)
-            yield SKIP
-            yield THROW
-            yield YIELD
-            return
-        for ctor in (Seq, Choice, Par, Interrupt):
+    def exact(self, compensable: bool, k: int) -> Iterator[StandardTerm | CompensableTerm]:
+        """The terms of one kind with exactly `k` operators: atoms and the
+        constants or pairs first, then each binary operator, then blocks."""
+        stored = self.stored
+        if compensable:
+            for i in range(k + 1):
+                if self.pair_cap is None or max(i, k - i) <= self.pair_cap:
+                    compensations = stored(False, k - i)
+                    for forward in stored(False, i):
+                        for compensation in compensations:
+                            yield Pair(forward, compensation)
+        elif k == 0:
+            yield from map(Atom, sorted(self.alphabet))
+            yield from (SKIP, THROW, YIELD)
+        for ctor in (CSeq, CChoice, CPar) if compensable else (Seq, Choice, Par, Interrupt):
             for i in range(k):
-                for left in self.std_stored(i):
-                    for right in self.std_stored(k - 1 - i):
+                rights = stored(compensable, k - 1 - i)
+                for left in stored(compensable, i):
+                    for right in rights:
                         yield ctor(left, right)
-        for body in self.comp_exact(k - 1, store=False):
-            yield Block(body)
-
-    def comp_exact(self, k: int, store: bool) -> Iterator[CompensableTerm]:
-        if store:
-            yield from self.comp_stored(k)
-            return
-        for i in range(k + 1):
-            j = k - i
-            if self.pair_cap is not None and (i > self.pair_cap or j > self.pair_cap):
-                continue
-            for forward in self.std_stored(i):
-                for compensation in self.std_stored(j):
-                    yield Pair(forward, compensation)
-        for ctor in (CSeq, CChoice, CPar):
-            for i in range(k):
-                for left in self.comp_stored(i):
-                    for right in self.comp_stored(k - 1 - i):
-                        yield ctor(left, right)
+        if not compensable and k:
+            yield from map(Block, self.exact(True, k - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -426,14 +401,15 @@ def run_prop_campaign(
 
     The per-case terms are a pure function of the arguments (one seed drawn
     per case, in order), so transcripts are reproducible.  A negative
-    `cases` is a `ValueError`, raised at the first `next()`.
+    `cases`, or any argument `GenConfig` refuses, is a `ValueError` at the
+    first `next()`, before any case.
     """
     if cases < 0:
         raise ValueError("cases must be nonnegative")
-    rng = random.Random(seed)
     kinds = ("std", "comp") if kind == "both" else (kind,)
-    configs = (GenConfig(rng.getrandbits(63), max_depth, alphabet, kinds[i % len(kinds)])
-               for i in range(cases))
+    recipes = [GenConfig(seed, max_depth, alphabet, k) for k in kinds]  # checks every argument
+    rng = random.Random(seed)
+    configs = (replace(recipes[i % len(recipes)], seed=rng.getrandbits(63)) for i in range(cases))
     yield from check_terms(map(gen_term, configs))
 
 
@@ -456,16 +432,16 @@ def run_lemma_suite(
     max_depth: int,
     alphabet: tuple[Event, ...],
 ) -> LemmaSuiteResult:
-    """Check one law on `cases` seeded operand tuples."""
+    """Check one law on `cases` seeded operand tuples; its arguments are
+    checked before the first case, as `run_prop_campaign` checks them."""
     if cases < 0:
         raise ValueError("cases must be nonnegative")
     name, kinds, _ = _law(lemma)
+    recipes = [GenConfig(seed, max_depth, alphabet, k) for k in kinds]  # checks every argument
     result = LemmaSuiteResult(lemma, name)
     rng = random.Random((seed << 3) ^ lemma)
     for _ in range(cases):
-        operands = tuple(
-            gen_term(GenConfig(rng.getrandbits(63), max_depth, alphabet, k)) for k in kinds
-        )
+        operands = tuple(gen_term(replace(r, seed=rng.getrandbits(63))) for r in recipes)
         result.total += 1
         if check_lemma(lemma, operands).is_equal:
             result.equal += 1

@@ -225,18 +225,16 @@ def step_compensable(term: CompensableTerm) -> tuple[Step, ...]:
 
 
 def run_lifted(term: StandardTerm, t: Trace) -> bool:
-    """Does the standard term have a run labelled exactly by `t`?"""
+    """Does the standard term have a run labelled exactly by `t`?  Follows
+    the trace with the set of states reached after each event, so a long
+    trace costs no interpreter frames."""
     if isinstance(term, Null):
         raise ValueError("the null process has no runs")
-    return _runs(term, t, 0)
-
-
-def _runs(term: StandardTerm, t: Trace, i: int) -> bool:
-    steps = step_standard(term)
-    if i == len(t.events):
-        return any(label is t.terminal for label, _ in steps)
-    event = t.events[i]
-    return any(label == event and _runs(succ, t, i + 1) for label, succ in steps)
+    states = {term}
+    for event in t.events:
+        states = {succ for state in states for label, succ in step_standard(state)
+                  if label == event}
+    return any(label is t.terminal for state in states for label, _ in step_standard(state))
 
 
 class _Budget:

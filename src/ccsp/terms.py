@@ -77,6 +77,20 @@ def is_event_name(name: str) -> bool:
     return bool(WORD.fullmatch(name)) and name not in RESERVED_WORDS
 
 
+def check_alphabet(alphabet: Iterable[Event]) -> tuple[Event, ...]:
+    """The declared alphabet as a tuple, checked as every term source checks
+    it: at least one event, valid names, each event once (`ValueError`)."""
+    names = tuple(alphabet)
+    for name in names:
+        if not is_event_name(name):
+            raise ValueError(f"invalid event name: {name!r}")
+    if not names:
+        raise ValueError("alphabet must list at least one event")
+    if len(set(names)) < len(names):
+        raise ValueError("alphabet must list each event once")
+    return names
+
+
 def terminal_from_glyph(glyph: str) -> Terminal:
     try:
         return _BY_GLYPH[glyph]
@@ -106,6 +120,17 @@ class _Node:
         return f"{type(self).__name__}({inner})"
 
 
+# The two kinds of term, as `is_standard` and `is_compensable` tell them apart.
+class _Standard(_Node):
+    __slots__ = ()
+    _noun = "standard"
+
+
+class _Compensable(_Node):
+    __slots__ = ()
+    _noun = "compensable"
+
+
 class _PoolRef(weakref.ref):
     """A pool entry: a weak reference to a term that remembers its key."""
 
@@ -122,10 +147,10 @@ def _arity_error(cls, given) -> TypeError:
     return TypeError(f"{cls.__name__} takes {len(cls._fields)} field(s), got {count}")
 
 
-def _constructor(cls, weight: int, ops: int, event: bool):
+def _constructor(cls, weight: int, ops: int, event: bool, kinds: tuple[type, ...]):
     """The interning `__new__` of a node class, one per arity: look the
-    operands up in the class's pool, or check them, build the node, size it
-    from its operands and pool a weak reference to it."""
+    operands up in the class's pool, or check them against `kinds`, build the
+    node, size it from its operands and pool a weak reference to it."""
     pool = cls._pool = {}
     get = pool.get
     new = object.__new__
@@ -146,11 +171,13 @@ def _constructor(cls, weight: int, ops: int, event: bool):
         pool[key] = ref
         return inst
 
-    def operand_error(field):
-        return TypeError(f"{cls.__name__}.{field} is not a process term")
+    def operand_error(field, operand, kind):
+        noun = kind._noun if isinstance(operand, _Node) else "process"
+        return TypeError(f"{cls.__name__}.{field} is not a {noun} term")
 
     if len(fields) == 2:
         set_first, set_second = setters
+        first_kind, second_kind = kinds
 
         def binary(cls, first=_ABSENT, second=_ABSENT, /, *extra):
             if extra:
@@ -163,10 +190,10 @@ def _constructor(cls, weight: int, ops: int, event: bool):
                     return inst
             if second is _ABSENT:
                 raise _arity_error(cls, key)
-            if not isinstance(first, _Node):
-                raise operand_error(fields[0])
-            if not isinstance(second, _Node):
-                raise operand_error(fields[1])
+            if not isinstance(first, first_kind):
+                raise operand_error(fields[0], first, first_kind)
+            if not isinstance(second, second_kind):
+                raise operand_error(fields[1], second, second_kind)
             inst = new(cls)
             set_first(inst, first)
             set_second(inst, second)
@@ -180,6 +207,7 @@ def _constructor(cls, weight: int, ops: int, event: bool):
 
     if len(fields) == 1:
         (set_operand,) = setters
+        (kind,) = kinds
 
         def unary(cls, operand=_ABSENT, /, *extra):
             if extra:
@@ -197,12 +225,12 @@ def _constructor(cls, weight: int, ops: int, event: bool):
                 set_weight(inst := new(cls), weight)
                 set_ops(inst, ops)
                 set_depth(inst, 1)
-            elif isinstance(operand, _Node):
+            elif isinstance(operand, kind):
                 set_weight(inst := new(cls), weight + operand._weight)
                 set_ops(inst, ops + operand._ops)
                 set_depth(inst, 1 + operand._depth)
             else:
-                raise operand_error(fields[0])
+                raise operand_error(fields[0], operand, kind)
             set_operand(inst, operand)
             return intern(inst, operand)
 
@@ -225,14 +253,16 @@ def _constructor(cls, weight: int, ops: int, event: bool):
     return nullary
 
 
-def _node(weight: int, ops: int, event: bool = False):
+def _node(weight: int, ops: int, event: bool = False, kinds: tuple[type, ...] | None = None):
     """Finish a node class; `weight` and `ops` are its own share of
-    `term_weight` and `term_op_count`, and `event` marks a class whose one
-    field is an event name rather than an operand term."""
+    `term_weight` and `term_op_count`, `event` marks a class whose one
+    field is an event name rather than an operand term, and `kinds` gives
+    each operand's kind (default: the class's own)."""
 
     def finish(cls):
         cls._fields = cls.__match_args__ = cls.__slots__
-        new = _constructor(cls, weight, ops, event)
+        own = _Compensable if issubclass(cls, _Compensable) else _Standard
+        new = _constructor(cls, weight, ops, event, kinds or (own,) * len(cls._fields))
         # Named as the one generic `__new__` was, so that the interpreter's
         # own errors (a keyword argument, say) read as they always have.
         new.__qualname__ = "_Node.__new__"
@@ -243,64 +273,64 @@ def _node(weight: int, ops: int, event: bool = False):
 
 
 @_node(weight=2, ops=0, event=True)
-class Atom(_Node):
+class Atom(_Standard):
     """A single atomic event."""
 
     __slots__ = ("event",)
 
 
 @_node(weight=1, ops=0)
-class Skip(_Node):
+class Skip(_Standard):
     """Immediate successful termination."""
 
     __slots__ = ()
 
 
 @_node(weight=1, ops=0)
-class Throw(_Node):
+class Throw(_Standard):
     """Raise an interrupt."""
 
     __slots__ = ()
 
 
 @_node(weight=2, ops=0)
-class Yield(_Node):
+class Yield(_Standard):
     """Offer to yield to an interrupt, or terminate successfully."""
 
     __slots__ = ()
 
 
 @_node(weight=0, ops=0)
-class Null(_Node):
+class Null(_Standard):
     """The terminated process.  Runtime-only; never part of a user term."""
 
     __slots__ = ()
 
 
 @_node(weight=1, ops=1)
-class Seq(_Node):
+class Seq(_Standard):
     __slots__ = ("left", "right")
 
 
 @_node(weight=1, ops=1)
-class Choice(_Node):
+class Choice(_Standard):
     __slots__ = ("left", "right")
 
 
 @_node(weight=1, ops=1)
-class Par(_Node):
+class Par(_Standard):
     __slots__ = ("left", "right")
 
 
 @_node(weight=1, ops=1)
-class Interrupt(_Node):
+class Interrupt(_Standard):
     """Interrupt handler: control passes to `right` when `left` throws."""
 
     __slots__ = ("left", "right")
 
 
-@_node(weight=1, ops=1)
-class Block(_Node):
+@_node(weight=1, ops=1, kinds=(_Compensable,))
+class Block(_Standard):
     """Transaction block around a compensable process.
 
     On success the accumulated compensation is discarded; on throw it runs
@@ -310,30 +340,30 @@ class Block(_Node):
     __slots__ = ("body",)
 
 
-@_node(weight=1, ops=0)
-class Pair(_Node):
+@_node(weight=1, ops=0, kinds=(_Standard, _Standard))
+class Pair(_Compensable):
     """Compensation pair: forward behaviour with its compensation."""
 
     __slots__ = ("forward", "compensation")
 
 
 @_node(weight=1, ops=1)
-class CSeq(_Node):
+class CSeq(_Compensable):
     __slots__ = ("left", "right")
 
 
 @_node(weight=1, ops=1)
-class CChoice(_Node):
+class CChoice(_Compensable):
     __slots__ = ("left", "right")
 
 
 @_node(weight=1, ops=1)
-class CPar(_Node):
+class CPar(_Compensable):
     __slots__ = ("left", "right")
 
 
-@_node(weight=1, ops=1)
-class Aux(_Node):
+@_node(weight=1, ops=1, kinds=(_Compensable, _Standard))
+class Aux(_Compensable):
     """Runtime pairing of a still-running compensable process with an
     already-banked compensation.  Arises only during execution of a
     compensable sequence; never part of a user term."""
@@ -359,16 +389,13 @@ COMPENSABLE_KEYWORDS = {
 #: Words that can never be event names.
 RESERVED_WORDS = frozenset(STANDARD_KEYWORDS.keys() | COMPENSABLE_KEYWORDS.keys())
 
-_STANDARD_CLASSES = (Atom, Skip, Throw, Yield, Seq, Choice, Par, Interrupt, Block, Null)
-_COMPENSABLE_CLASSES = (Pair, CSeq, CChoice, CPar, Aux)
-
 
 def is_standard(term: object) -> bool:
-    return isinstance(term, _STANDARD_CLASSES)
+    return isinstance(term, _Standard)
 
 
 def is_compensable(term: object) -> bool:
-    return isinstance(term, _COMPENSABLE_CLASSES)
+    return isinstance(term, _Compensable)
 
 
 def _operands(term: _Node) -> list[_Node]:

@@ -10,6 +10,7 @@ import ccsp
 from ccsp import cli, operational
 from ccsp.cli import run
 from ccsp.denotational import traces_compensable, traces_standard
+from ccsp.equivalence import enumerate_terms
 from ccsp.parser import MAX_DEPTH, parse_compensable, parse_standard
 from ccsp.terms import pair_from_tokens, term_depth, trace_from_tokens
 
@@ -268,6 +269,19 @@ def test_repeated_alphabet_event_is_a_usage_error():
     assert code == 2
     assert out == ""
     assert "alphabet must list each event once" in err
+
+
+@pytest.mark.parametrize(
+    "text, names",
+    [(",", ()), ("a,a", ("a", "a")), ("a,1x", ("a", "1x")), ("THROW", ("THROW",))],
+    ids=["empty", "repeated", "malformed", "reserved"],
+)
+def test_alphabet_usage_error_reads_as_the_library_error(text, names):
+    with pytest.raises(ValueError) as library:
+        next(enumerate_terms(0, names))
+    code, out, err = invoke(["enumerate", "--max-ops", "0", "--alphabet", text])
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == f"ccsp enumerate: error: argument --alphabet: {library.value}"
 
 
 def test_enumerate_compensable_with_pair_cap():

@@ -153,6 +153,38 @@ def test_lemma_suite_refuses_a_negative_case_count():
         run_lemma_suite(1, -5, 0, 3, ("a",))
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((1, 0, 0, ("a", "a"), "std"), "max_depth must be at least 1"),
+        ((1, 0, 1, ("a", "a"), "std"), "each event once"),
+        ((1, 0, 0, ("a",), "std"), "max_depth must be at least 1"),
+        ((1, 0, 1, ("a",), "standard"), "unknown kind"),
+        ((1, 0, 1, (), "both"), "at least one event"),
+    ],
+    ids=["depth-and-repeat", "repeat", "depth", "long-kind", "empty"],
+)
+def test_prop_campaign_checks_every_argument_before_its_first_case(args, message):
+    # With no cases to build, the arguments used to go unchecked.
+    cases = run_prop_campaign(*args)
+    with pytest.raises(ValueError, match=message):
+        next(cases)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((1, 0, 0, -2, ("a",)), "max_depth must be at least 1"),
+        ((1, 0, 0, 3, ("SKIP",)), "invalid event name: 'SKIP'"),
+        ((4, 0, 0, 3, ("a", "a")), "each event once"),
+    ],
+    ids=["depth", "reserved", "repeat"],
+)
+def test_lemma_suite_checks_every_argument_before_its_first_case(args, message):
+    with pytest.raises(ValueError, match=message):
+        run_lemma_suite(*args)
+
+
 def test_lemma_suite_covers_both_cond_branches_and_forward_throw():
     s3 = run_lemma_suite(3, 100, 42, 4, ("a", "b"))
     assert s3.equal == s3.total == 100
@@ -385,6 +417,12 @@ def test_enumerate_refuses_a_repeated_event():
     # A repeated event would list `a` and every term over it twice.
     with pytest.raises(ValueError, match="each event once"):
         list(enumerate_terms(1, ("a", "a"), "std"))
+
+
+def test_enumerate_refuses_an_empty_alphabet():
+    # It used to list the three atom-free leaves.
+    with pytest.raises(ValueError, match="alphabet must list at least one event"):
+        next(enumerate_terms(0, ()))
 
 
 def test_enumerate_is_deterministic():

@@ -28,6 +28,7 @@ from ccsp.terms import (
     Par,
     Seq,
     Terminal,
+    Trace,
     TracePair,
     is_standard,
     trace,
@@ -128,6 +129,18 @@ def test_run_lifted_examples():
     assert not run_lifted(Seq(A, THROW), trace("a", "*"))
     with pytest.raises(ValueError):
         run_lifted(NULL, trace("*"))
+
+
+def test_run_lifted_follows_a_long_trace():
+    # A balanced `;` tree of 512 events: two frames per event used to
+    # exhaust the interpreter's stack.
+    tree = A
+    for _ in range(9):
+        tree = Seq(tree, tree)
+    events = ("a",) * 512
+    assert run_lifted(tree, Trace(events, Terminal.TICK))
+    assert not run_lifted(tree, Trace(events[1:], Terminal.TICK))
+    assert not run_lifted(tree, Trace(events, Terminal.THROW))
 
 
 # -- derived traces ---------------------------------------------------------

@@ -239,8 +239,26 @@ def test_measures_reject_non_terms():
     for measure in (term_depth, term_op_count, term_weight):
         with pytest.raises(TypeError):
             measure("a")
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match=r"Seq\.right is not a process term"):
         Seq(A, "b")
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Seq(Pair(A, B), Atom("c")), r"Seq\.left is not a standard term"),
+        (lambda: Block(A), r"Block\.body is not a compensable term"),
+        (lambda: CSeq(A, Pair(A, B)), r"CSeq\.left is not a compensable term"),
+        (lambda: Pair(Pair(A, B), Atom("c")), r"Pair\.forward is not a standard term"),
+        (lambda: Aux(Pair(A, B), Pair(A, B)), r"Aux\.stored is not a standard term"),
+    ],
+    ids=["seq-of-pair", "block-of-atom", "cseq-of-atom", "pair-of-pair", "aux-of-pairs"],
+)
+def test_operands_of_the_wrong_kind_are_refused(build, message):
+    # Such terms used to construct, print as text no parser accepts and
+    # fail inside a semantics.
+    with pytest.raises(TypeError, match=message):
+        build()
 
 
 _gen_cfgs = st.builds(

@@ -7,7 +7,11 @@ fixed list runs as `python3 -m ccsp.cli ARGV` in a fresh process, once
 against each checkout's `src/` (PYTHONPATH=<checkout>/src), two argvs at a
 time.  The exit code, stdout and stderr must match exactly.  Prints `same`
 or `DIFF` per argv and exits 1 on any difference.  The list: two
-`enumerate --check` runs and one compensable listing, a seeded
+`enumerate --check` runs, one compensable listing, three listings over the
+one-event alphabet `a` at `--max-ops 2` that reach each branch of the
+enumerator's walk (standard; compensable with `--max-pair-ops 0`, which
+skips pairs; compensable with `--max-pair-ops 1`), `enumerate` with
+each kind of bad `--alphabet` (empty, repeated, malformed, reserved), a seeded
 `prop --lemmas` campaign at `--max-depth 5` and four shorter ones at
 depths 1, 2, 3 and 8 (leaf-only, shallow and deep generator tables),
 `prop` with `--kind std` and with `--kind comp` (each case's kind label),
@@ -37,6 +41,11 @@ def argvs() -> list[list[str]]:
         ["enumerate", "--max-ops", "2", "--alphabet", "a,b", "--check"],
         ["enumerate", "--max-ops", "1", "--alphabet", "a,b", "--kind", "comp", "--check"],
         ["enumerate", "--max-ops", "1", "--alphabet", "a,b", "--kind", "comp"],
+        ["enumerate", "--max-ops", "2", "--alphabet", "a"],
+        *(["enumerate", "--max-ops", "2", "--alphabet", "a", "--kind", "comp",
+           "--max-pair-ops", cap] for cap in ("0", "1")),
+        *(["enumerate", "--max-ops", "0", "--alphabet", text]
+          for text in (",", "a,a", "a,1x", "THROW")),
         ["prop", "--seed", "42", "--cases", "2000", "--max-depth", "5", "--lemmas"],
         *(["prop", "--seed", "7", "--cases", "300", "--max-depth", str(depth), "--kind", "both",
            "--lemmas", "--lemma-cases", "50"] for depth in (1, 2, 3, 8)),
