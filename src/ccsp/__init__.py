@@ -42,8 +42,7 @@ from .operational import (
     derived_traces_compensable,
     derived_traces_standard,
     run_lifted,
-    step_compensable,
-    step_standard,
+    step,
 )
 from .parser import ParseError, parse_compensable, parse_standard
 from .terms import (
@@ -67,7 +66,6 @@ from .terms import (
     Trace,
     TracePair,
     YIELD,
-    desugar_alias,
     pretty_print,
     trace,
     validate_user_term,

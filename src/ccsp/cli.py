@@ -40,9 +40,9 @@ from .operational import (
 )
 from .parser import ParseError, parse_compensable, parse_standard
 from .terms import (
+    CompensableTerm,
     by_sort_key,
     check_alphabet,
-    is_compensable,
     pair_tokens,
     pretty_print,
     term_op_count,
@@ -308,7 +308,7 @@ def _cmd_prop(args) -> int:
         equal += ok
         healthy += is_healthy
         marker = "ok" if ok and is_healthy else "FAIL"
-        kind = "comp" if is_compensable(term) else "std"
+        kind = "comp" if isinstance(term, CompensableTerm) else "std"
         print(f"{marker} {index:04d} {kind} {pretty_print(term)}")
         if not ok:
             failed = True

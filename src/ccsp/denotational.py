@@ -47,7 +47,6 @@ from .terms import (
     Trace,
     TracePair,
     Yield,
-    is_compensable,
     unchecked_trace,
 )
 
@@ -263,7 +262,7 @@ def traces_compensable(term: CompensableTerm) -> frozenset[TracePair]:
 def check_healthiness(term: StandardTerm | CompensableTerm) -> bool:
     """Every process must be able to terminate or interrupt: some trace
     (forward trace, for compensable terms) ends in tick or throw."""
-    if is_compensable(term):
+    if isinstance(term, CompensableTerm):
         return any(
             tp.forward.terminal is not _YIELD for tp in traces_compensable(term)
         )

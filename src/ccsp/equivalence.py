@@ -21,6 +21,7 @@ import random
 from bisect import bisect
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
+from operator import index
 from typing import Iterable, Iterator
 
 from . import denotational, operational
@@ -56,8 +57,6 @@ from .terms import (
     THROW,
     YIELD,
     check_alphabet,
-    is_compensable,
-    is_standard,
 )
 
 # ---------------------------------------------------------------------------
@@ -106,7 +105,7 @@ def check_compensable(term: CompensableTerm) -> Verdict:
 
 def _derived(term):
     """The derived traces (or trace pairs) of a term of either kind."""
-    if is_compensable(term):
+    if isinstance(term, CompensableTerm):
         return derived_traces_compensable(term)
     return derived_traces_standard(term)
 
@@ -178,8 +177,7 @@ def check_lemma(lemma: int, operands: tuple) -> Verdict:
     if len(operands) != len(kinds):
         raise ValueError(f"law {lemma} takes {len(kinds)} operands, got {len(operands)}")
     for operand, kind in zip(operands, kinds):
-        ok = is_standard(operand) if kind == "std" else is_compensable(operand)
-        if not ok:
+        if not isinstance(operand, StandardTerm if kind == "std" else CompensableTerm):
             raise ValueError(f"law {lemma} operand kinds are {kinds}")
     term, lhs, rhs = impl(*operands)
     return Verdict(term, frozenset(lhs - rhs), frozenset(rhs - lhs))
@@ -208,7 +206,8 @@ class GenConfig:
     kind: str  # "std" | "comp"
 
     def __post_init__(self):
-        if self.max_depth < 1:
+        index(self.seed)  # an integer, as `--seed` is: 2.5 and "7" are a TypeError
+        if index(self.max_depth) < 1:
             raise ValueError("max_depth must be at least 1")
         check_alphabet(self.alphabet)
         if self.kind not in ("std", "comp"):
@@ -307,13 +306,14 @@ def enumerate_terms(
     and their operands' operators count toward the budget.
     `max_pair_operand_ops` additionally caps the operator count of each
     pair operand (useful to keep compensable enumeration finite-friendly);
-    a negative cap is a `ValueError`, like a negative `max_ops`.
+    a negative cap is a `ValueError`, like a negative `max_ops`, and a
+    non-integer one a `TypeError`.
     The alphabet is checked by `check_alphabet`: an empty one, an invalid
     name or a repeated event is a `ValueError`.
     """
     if max_ops < 0:
         raise ValueError("max_ops must be nonnegative")
-    if max_pair_operand_ops is not None and max_pair_operand_ops < 0:
+    if max_pair_operand_ops is not None and index(max_pair_operand_ops) < 0:
         raise ValueError("max_pair_operand_ops must be nonnegative")
     if kind not in ("std", "comp"):
         raise ValueError(f"unknown kind: {kind!r}")
@@ -384,7 +384,7 @@ def check_terms(
     """`(term, verdict, healthy)` for each term, checked by its kind; the
     memo tables are trimmed once the consumer has taken each item."""
     for term in terms:
-        check = check_compensable if is_compensable(term) else check_standard
+        check = check_compensable if isinstance(term, CompensableTerm) else check_standard
         yield term, check(term), check_healthiness(term)
         maybe_trim_caches()
 

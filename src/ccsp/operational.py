@@ -4,9 +4,9 @@ A step is a plain ``(label, successor)`` tuple whose label is either the
 event name (a `str`) or a `Terminal`.  A terminal step finishes a standard
 process (successor is the null process) and finishes the forward behaviour
 of a compensable process (successor is the banked compensation, a standard
-term).  The step functions return each step once, in no particular order;
-`build_lts`, whose edges users see, is the one place that orders steps
-canonically.
+term).  One relation, `step`, covers both kinds and returns each step once,
+in no particular order; `build_lts`, whose edges users see, is the one place
+that orders steps canonically.
 
 Lifting single steps over event sequences gives runs; the derived traces
 of a term are the labels of its maximal runs.  Both are computed by
@@ -45,7 +45,6 @@ from .terms import (
     Trace,
     TracePair,
     Yield,
-    is_compensable,
     pretty_print,
     unchecked_trace,
 )
@@ -72,15 +71,16 @@ class StateCapExceeded(RuntimeError):
         self.cap = cap
 
 
-_STEPS_STD: dict[StandardTerm, tuple[Step, ...]] = {}
-_STEPS_COMP: dict[CompensableTerm, tuple[Step, ...]] = {}
+_STEPS: dict[StandardTerm | CompensableTerm, tuple[Step, ...]] = {}
 
 
-def step_standard(term: StandardTerm) -> tuple[Step, ...]:
-    """All single steps of a standard term, each a ``(label, successor)``
-    pair, without duplicates and in no particular order (`build_lts` is
-    the one place that orders steps canonically)."""
-    hit = _STEPS_STD.get(term)
+def step(term: StandardTerm | CompensableTerm) -> tuple[Step, ...]:
+    """All single steps of a term of either kind, each a ``(label,
+    successor)`` pair, without duplicates and in no particular order
+    (`build_lts` is the one place that orders steps canonically).  After an
+    event a term keeps its kind; after a terminal a compensable term leaves
+    its banked compensation, a standard term."""
+    hit = _STEPS.get(term)
     if hit is not None:
         return hit
     # An insertion-ordered dict dedupes steps reached by several rules.
@@ -96,21 +96,21 @@ def step_standard(term: StandardTerm) -> tuple[Step, ...]:
             out[_YIELD, NULL] = None
             out[_TICK, NULL] = None
         case Seq(l, r):
-            for label, succ in step_standard(l):
+            for label, succ in step(l):
                 if isinstance(label, str):
                     out[label, Seq(succ, r)] = None
                 elif label is _TICK:
                     # The first process is done; one step of the second
                     # happens in the same transition, dropping the Seq node.
-                    out.update(dict.fromkeys(step_standard(r)))
+                    out.update(dict.fromkeys(step(r)))
                 else:
                     out[label, NULL] = None
-        case Choice(l, r):
-            out.update(dict.fromkeys(step_standard(l)))
-            out.update(dict.fromkeys(step_standard(r)))
+        case Choice(l, r) | CChoice(l, r):
+            out.update(dict.fromkeys(step(l)))
+            out.update(dict.fromkeys(step(r)))
         case Par(l, r):
-            lsteps = step_standard(l)
-            rsteps = step_standard(r)
+            lsteps = step(l)
+            rsteps = step(r)
             for label, succ in lsteps:
                 if isinstance(label, str):
                     out[label, Par(succ, r)] = None
@@ -125,16 +125,16 @@ def step_standard(term: StandardTerm) -> tuple[Step, ...]:
                         if not isinstance(rl, str):
                             out[ll.join(rl), NULL] = None
         case Interrupt(l, r):
-            for label, succ in step_standard(l):
+            for label, succ in step(l):
                 if isinstance(label, str):
                     out[label, Interrupt(succ, r)] = None
                 elif label is _THROW:
                     # Control passes to the handler on a throw.
-                    out.update(dict.fromkeys(step_standard(r)))
+                    out.update(dict.fromkeys(step(r)))
                 else:
                     out[label, NULL] = None
         case Block(body):
-            for label, succ in step_compensable(body):
+            for label, succ in step(body):
                 if isinstance(label, str):
                     out[label, Block(succ)] = None
                 elif label is _TICK:
@@ -143,30 +143,10 @@ def step_standard(term: StandardTerm) -> tuple[Step, ...]:
                 elif label is _THROW:
                     # The block dissolves and the compensation starts
                     # running; the interrupt itself is not observable.
-                    out.update(dict.fromkeys(step_standard(succ)))
+                    out.update(dict.fromkeys(step(succ)))
                 # A yielding forward run has no transition out of a block.
-        case Null():
-            raise ValueError("the null process has no transitions")
-        case _:
-            raise TypeError(f"not a standard term: {term!r}")
-    w = term._weight
-    assert all(succ._weight < w for _, succ in out), "step must shrink the term"
-    steps = tuple(out)
-    _STEPS_STD[term] = steps
-    return steps
-
-
-def step_compensable(term: CompensableTerm) -> tuple[Step, ...]:
-    """All single steps of a compensable term, as `step_standard` gives
-    them.  The successor is compensable after an event and the banked
-    compensation (a standard term) after a terminal."""
-    hit = _STEPS_COMP.get(term)
-    if hit is not None:
-        return hit
-    out: dict[Step, None] = {}
-    match term:
         case Pair(f, c):
-            for label, succ in step_standard(f):
+            for label, succ in step(f):
                 if isinstance(label, str):
                     out[label, Pair(succ, c)] = None
                 elif label is _TICK:
@@ -175,11 +155,11 @@ def step_compensable(term: CompensableTerm) -> tuple[Step, ...]:
                     # Unsuccessful forward behaviour banks no compensation.
                     out[label, SKIP] = None
         case CSeq(l, r):
-            for label, succ in step_compensable(l):
+            for label, succ in step(l):
                 if isinstance(label, str):
                     out[label, CSeq(succ, r)] = None
                 elif label is _TICK:
-                    for rlabel, rsucc in step_compensable(r):
+                    for rlabel, rsucc in step(r):
                         if isinstance(rlabel, str):
                             out[rlabel, Aux(rsucc, succ)] = None
                         else:
@@ -187,12 +167,9 @@ def step_compensable(term: CompensableTerm) -> tuple[Step, ...]:
                             out[rlabel, Seq(rsucc, succ)] = None
                 else:
                     out[label, succ] = None
-        case CChoice(l, r):
-            out.update(dict.fromkeys(step_compensable(l)))
-            out.update(dict.fromkeys(step_compensable(r)))
         case CPar(l, r):
-            lsteps = step_compensable(l)
-            rsteps = step_compensable(r)
+            lsteps = step(l)
+            rsteps = step(r)
             for label, succ in lsteps:
                 if isinstance(label, str):
                     out[label, CPar(succ, r)] = None
@@ -205,18 +182,27 @@ def step_compensable(term: CompensableTerm) -> tuple[Step, ...]:
                         if not isinstance(rl, str):
                             out[ll.join(rl), Par(lsucc, rsucc)] = None
         case Aux(rest, stored):
-            for label, succ in step_compensable(rest):
+            for label, succ in step(rest):
                 if isinstance(label, str):
                     out[label, Aux(succ, stored)] = None
                 else:
                     out[label, Seq(succ, stored)] = None
+        case Null():
+            raise ValueError("the null process has no transitions")
         case _:
-            raise TypeError(f"not a compensable term: {term!r}")
+            raise TypeError(f"not a process term: {term!r}")
     w = term._weight
     assert all(succ._weight < w for _, succ in out), "step must shrink the term"
     steps = tuple(out)
-    _STEPS_COMP[term] = steps
+    _STEPS[term] = steps
     return steps
+
+
+def _check_kind(term, kind: type) -> None:
+    """One relation steps both kinds, so each exploration checks at its
+    start that it was given the kind it explores."""
+    if not isinstance(term, kind):
+        raise TypeError(f"not a {kind._noun} term: {term!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -230,11 +216,11 @@ def run_lifted(term: StandardTerm, t: Trace) -> bool:
     trace costs no interpreter frames."""
     if isinstance(term, Null):
         raise ValueError("the null process has no runs")
+    _check_kind(term, StandardTerm)
     states = {term}
     for event in t.events:
-        states = {succ for state in states for label, succ in step_standard(state)
-                  if label == event}
-    return any(label is t.terminal for state in states for label, _ in step_standard(state))
+        states = {succ for state in states for label, succ in step(state) if label == event}
+    return any(label is t.terminal for state in states for label, _ in step(state))
 
 
 class _Budget:
@@ -257,6 +243,7 @@ def derived_traces_standard(term: StandardTerm) -> frozenset[Trace]:
     """The labels of all maximal runs of a standard term."""
     if isinstance(term, Null):
         raise ValueError("the null process has no derived traces")
+    _check_kind(term, StandardTerm)
     return _dt_std(term, _Budget())
 
 
@@ -266,7 +253,7 @@ def _dt_std(term: StandardTerm, budget: _Budget) -> frozenset[Trace]:
         return hit
     budget.spend()
     out: set[Trace] = set()
-    for label, succ in step_standard(term):
+    for label, succ in step(term):
         if isinstance(label, str):
             for events, terminal in _dt_std(succ, budget):
                 out.add(unchecked_trace(((label,) + events, terminal)))
@@ -280,6 +267,7 @@ def _dt_std(term: StandardTerm, budget: _Budget) -> frozenset[Trace]:
 def derived_forward(term: CompensableTerm) -> frozenset[tuple[Trace, StandardTerm]]:
     """All (forward trace, banked compensation) outcomes of a compensable
     term's forward runs."""
+    _check_kind(term, CompensableTerm)
     return _forward(term, _Budget())
 
 
@@ -289,7 +277,7 @@ def _forward(term: CompensableTerm, budget: _Budget) -> frozenset[tuple[Trace, S
         return hit
     budget.spend()
     out: set[tuple[Trace, StandardTerm]] = set()
-    for label, succ in step_compensable(term):
+    for label, succ in step(term):
         if isinstance(label, str):
             for (events, terminal), banked in _forward(succ, budget):
                 out.add((unchecked_trace(((label,) + events, terminal)), banked))
@@ -302,6 +290,7 @@ def _forward(term: CompensableTerm, budget: _Budget) -> frozenset[tuple[Trace, S
 
 def derived_traces_compensable(term: CompensableTerm) -> frozenset[TracePair]:
     """Forward runs continued through their banked compensations."""
+    _check_kind(term, CompensableTerm)
     budget = _Budget()
     return frozenset(
         TracePair(t, t2)
@@ -328,7 +317,6 @@ class Lts:
     produce identical graphs.
     """
 
-    root: LtsNode
     nodes: tuple[LtsNode, ...]
     edges: tuple[LtsEdge, ...]
 
@@ -349,22 +337,19 @@ def _dot_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def _step_key(step: Step):
-    label, succ = step
+def _step_key(item: Step):
+    label, succ = item
     if isinstance(label, str):
         return (1, 0, label, pretty_print(succ))
     return (0, label.value, "", pretty_print(succ))
 
 
 def _canonical_steps(node: LtsNode) -> list[Step]:
-    if isinstance(node, Null):
-        return []
-    steps = step_compensable(node) if is_compensable(node) else step_standard(node)
-    return sorted(steps, key=_step_key)
+    return [] if isinstance(node, Null) else sorted(step(node), key=_step_key)
 
 
 def build_lts(term: LtsNode) -> Lts:
-    """Explore the full reachable graph under the step functions.
+    """Explore the full reachable graph under `step`.
 
     This is the one place where steps are put in canonical order: terminals
     first by terminal order, then events alphabetically, then successors
@@ -390,16 +375,15 @@ def build_lts(term: LtsNode) -> Lts:
                 nodes.append(succ)
                 queue.append(succ)
             edges.append((node, label, succ))
-    return Lts(root=term, nodes=tuple(nodes), edges=tuple(edges))
+    return Lts(nodes=tuple(nodes), edges=tuple(edges))
 
 
 def clear_caches() -> None:
     """Drop memoized steps and derived traces."""
-    _STEPS_STD.clear()
-    _STEPS_COMP.clear()
+    _STEPS.clear()
     _DT_STD.clear()
     _FORWARD.clear()
 
 
 def cache_size() -> int:
-    return len(_STEPS_STD) + len(_STEPS_COMP) + len(_DT_STD) + len(_FORWARD)
+    return len(_STEPS) + len(_DT_STD) + len(_FORWARD)

@@ -1,7 +1,8 @@
 """Process terms, traces, and pretty-printing for the cCSP subset.
 
-Two categories of process terms exist side by side.  A *standard* process
-runs and terminates; a *compensable* process additionally installs
+Two kinds of process terms exist side by side, and a term's kind is its
+base class.  A *standard* process (`StandardTerm`) runs and terminates; a
+*compensable* process (`CompensableTerm`) additionally installs
 compensation behaviour while it runs, to be replayed if the surrounding
 transaction aborts.  Observations are finite traces: a sequence of normal
 events capped by exactly one terminal marker (success, throw or yield).
@@ -26,7 +27,7 @@ import weakref
 from enum import Enum
 from functools import partial
 from operator import attrgetter, itemgetter
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator
 
 
 class Terminal(Enum):
@@ -120,13 +121,12 @@ class _Node:
         return f"{type(self).__name__}({inner})"
 
 
-# The two kinds of term, as `is_standard` and `is_compensable` tell them apart.
-class _Standard(_Node):
+class StandardTerm(_Node):
     __slots__ = ()
     _noun = "standard"
 
 
-class _Compensable(_Node):
+class CompensableTerm(_Node):
     __slots__ = ()
     _noun = "compensable"
 
@@ -261,7 +261,7 @@ def _node(weight: int, ops: int, event: bool = False, kinds: tuple[type, ...] | 
 
     def finish(cls):
         cls._fields = cls.__match_args__ = cls.__slots__
-        own = _Compensable if issubclass(cls, _Compensable) else _Standard
+        own = CompensableTerm if issubclass(cls, CompensableTerm) else StandardTerm
         new = _constructor(cls, weight, ops, event, kinds or (own,) * len(cls._fields))
         # Named as the one generic `__new__` was, so that the interpreter's
         # own errors (a keyword argument, say) read as they always have.
@@ -273,64 +273,64 @@ def _node(weight: int, ops: int, event: bool = False, kinds: tuple[type, ...] | 
 
 
 @_node(weight=2, ops=0, event=True)
-class Atom(_Standard):
+class Atom(StandardTerm):
     """A single atomic event."""
 
     __slots__ = ("event",)
 
 
 @_node(weight=1, ops=0)
-class Skip(_Standard):
+class Skip(StandardTerm):
     """Immediate successful termination."""
 
     __slots__ = ()
 
 
 @_node(weight=1, ops=0)
-class Throw(_Standard):
+class Throw(StandardTerm):
     """Raise an interrupt."""
 
     __slots__ = ()
 
 
 @_node(weight=2, ops=0)
-class Yield(_Standard):
+class Yield(StandardTerm):
     """Offer to yield to an interrupt, or terminate successfully."""
 
     __slots__ = ()
 
 
 @_node(weight=0, ops=0)
-class Null(_Standard):
+class Null(StandardTerm):
     """The terminated process.  Runtime-only; never part of a user term."""
 
     __slots__ = ()
 
 
 @_node(weight=1, ops=1)
-class Seq(_Standard):
+class Seq(StandardTerm):
     __slots__ = ("left", "right")
 
 
 @_node(weight=1, ops=1)
-class Choice(_Standard):
+class Choice(StandardTerm):
     __slots__ = ("left", "right")
 
 
 @_node(weight=1, ops=1)
-class Par(_Standard):
+class Par(StandardTerm):
     __slots__ = ("left", "right")
 
 
 @_node(weight=1, ops=1)
-class Interrupt(_Standard):
+class Interrupt(StandardTerm):
     """Interrupt handler: control passes to `right` when `left` throws."""
 
     __slots__ = ("left", "right")
 
 
-@_node(weight=1, ops=1, kinds=(_Compensable,))
-class Block(_Standard):
+@_node(weight=1, ops=1, kinds=(CompensableTerm,))
+class Block(StandardTerm):
     """Transaction block around a compensable process.
 
     On success the accumulated compensation is discarded; on throw it runs
@@ -340,39 +340,36 @@ class Block(_Standard):
     __slots__ = ("body",)
 
 
-@_node(weight=1, ops=0, kinds=(_Standard, _Standard))
-class Pair(_Compensable):
+@_node(weight=1, ops=0, kinds=(StandardTerm, StandardTerm))
+class Pair(CompensableTerm):
     """Compensation pair: forward behaviour with its compensation."""
 
     __slots__ = ("forward", "compensation")
 
 
 @_node(weight=1, ops=1)
-class CSeq(_Compensable):
+class CSeq(CompensableTerm):
     __slots__ = ("left", "right")
 
 
 @_node(weight=1, ops=1)
-class CChoice(_Compensable):
+class CChoice(CompensableTerm):
     __slots__ = ("left", "right")
 
 
 @_node(weight=1, ops=1)
-class CPar(_Compensable):
+class CPar(CompensableTerm):
     __slots__ = ("left", "right")
 
 
-@_node(weight=1, ops=1, kinds=(_Compensable, _Standard))
-class Aux(_Compensable):
+@_node(weight=1, ops=1, kinds=(CompensableTerm, StandardTerm))
+class Aux(CompensableTerm):
     """Runtime pairing of a still-running compensable process with an
     already-banked compensation.  Arises only during execution of a
     compensable sequence; never part of a user term."""
 
     __slots__ = ("rest", "stored")
 
-
-StandardTerm = Union[Atom, Skip, Throw, Yield, Seq, Choice, Par, Interrupt, Block, Null]
-CompensableTerm = Union[Pair, CSeq, CChoice, CPar, Aux]
 
 SKIP = Skip()
 THROW = Throw()
@@ -388,14 +385,6 @@ COMPENSABLE_KEYWORDS = {
 
 #: Words that can never be event names.
 RESERVED_WORDS = frozenset(STANDARD_KEYWORDS.keys() | COMPENSABLE_KEYWORDS.keys())
-
-
-def is_standard(term: object) -> bool:
-    return isinstance(term, _Standard)
-
-
-def is_compensable(term: object) -> bool:
-    return isinstance(term, _Compensable)
 
 
 def _operands(term: _Node) -> list[_Node]:
@@ -467,14 +456,6 @@ def validate_user_term(
         elif isinstance(sub, Atom) and declared is not None and sub.event not in declared:
             violations.append(f"event {sub.event!r} not in declared alphabet")
     return violations
-
-
-def desugar_alias(name: str) -> CompensableTerm:
-    """Expand a derived compensable constant into its compensation pair."""
-    try:
-        return COMPENSABLE_KEYWORDS[name]
-    except KeyError:
-        raise ValueError(f"unknown compensable alias: {name!r}") from None
 
 
 # ---------------------------------------------------------------------------

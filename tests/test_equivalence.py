@@ -27,6 +27,7 @@ from ccsp.terms import (
     Aux,
     Block,
     CChoice,
+    CompensableTerm,
     CPar,
     CSeq,
     Choice,
@@ -39,7 +40,6 @@ from ccsp.terms import (
     Trace,
     TracePair,
     Yield,
-    is_compensable,
     pretty_print,
     term_op_count,
     term_weight,
@@ -211,6 +211,17 @@ def test_gen_config_validation():
         GenConfig(seed=0, max_depth=2, alphabet=("a",), kind="mixed")
 
 
+@pytest.mark.parametrize(
+    "seed, max_depth",
+    [(0, 2.5), ("7", 3), (0.5, 3)],
+    ids=["float-depth", "str-seed", "float-seed"],
+)
+def test_gen_config_refuses_a_non_integer(seed, max_depth):
+    # A float depth used to make a term, and "7" to seed another stream than 7.
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        GenConfig(seed, max_depth, ("a",), "std")
+
+
 def test_gen_config_refuses_a_repeated_event():
     # A repeated event would be drawn twice as often as the others.
     with pytest.raises(ValueError, match="alphabet must list each event once"):
@@ -369,6 +380,12 @@ def test_enumerate_refuses_a_negative_pair_operand_cap():
         list(enumerate_terms(1, ("a",), "comp", max_pair_operand_ops=-1))
 
 
+def test_enumerate_refuses_a_non_integer_pair_operand_cap():
+    # It used to list 784 terms.
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        next(enumerate_terms(1, ("a",), "comp", 0.5))
+
+
 def test_enumerate_respects_pair_operand_cap():
     capped = list(enumerate_terms(2, ("a",), "comp", max_pair_operand_ops=0))
     for term in capped:
@@ -437,7 +454,7 @@ def test_enumerate_is_deterministic():
 def test_prop_campaign_deterministic_and_green():
     runs = [
         [
-            (is_compensable(term), pretty_print(term), verdict.status, healthy)
+            (isinstance(term, CompensableTerm), pretty_print(term), verdict.status, healthy)
             for term, verdict, healthy in run_prop_campaign(11, 60, 4, ("a", "b"), "both")
         ]
         for _ in range(2)
@@ -452,11 +469,11 @@ def test_check_terms_matches_the_direct_checks():
     std = list(enumerate_terms(1, ("a",), "std"))
     comp = list(enumerate_terms(0, ("a",), "comp"))
     mixed = [term for pair in zip(std, comp) for term in pair]
-    assert {is_compensable(term) for term in mixed} == {False, True}
+    assert {isinstance(term, CompensableTerm) for term in mixed} == {False, True}
     checked = list(check_terms(iter(mixed)))
     assert [term for term, _, _ in checked] == mixed
     for term, verdict, healthy in checked:
-        check = check_compensable if is_compensable(term) else check_standard
+        check = check_compensable if isinstance(term, CompensableTerm) else check_standard
         assert verdict == check(term)
         assert healthy == denotational.check_healthiness(term)
 

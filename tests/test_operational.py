@@ -1,8 +1,11 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
 from ccsp import operational
-from ccsp.equivalence import GenConfig, check_lemma, gen_term
+from ccsp.denotational import traces_compensable, traces_standard
+from ccsp.equivalence import GenConfig, check_compensable, check_lemma, check_standard, gen_term
 from ccsp.operational import (
     Lts,
     StateCapExceeded,
@@ -11,8 +14,7 @@ from ccsp.operational import (
     derived_traces_compensable,
     derived_traces_standard,
     run_lifted,
-    step_compensable,
-    step_standard,
+    step,
 )
 from ccsp.terms import (
     NULL,
@@ -29,8 +31,8 @@ from ccsp.terms import (
     Seq,
     Terminal,
     Trace,
+    StandardTerm,
     TracePair,
-    is_standard,
     trace,
 )
 
@@ -42,75 +44,107 @@ B = Atom("b")
 
 
 def test_step_base_rules():
-    assert step_standard(A) == (("a", SKIP),)
-    assert step_standard(SKIP) == ((Terminal.TICK, NULL),)
-    assert step_standard(THROW) == ((Terminal.THROW, NULL),)
-    assert set(step_standard(YIELD)) == {(Terminal.TICK, NULL), (Terminal.YIELD, NULL)}
+    assert step(A) == (("a", SKIP),)
+    assert step(SKIP) == ((Terminal.TICK, NULL),)
+    assert step(THROW) == ((Terminal.THROW, NULL),)
+    assert set(step(YIELD)) == {(Terminal.TICK, NULL), (Terminal.YIELD, NULL)}
 
 
 def test_step_null_rejected():
     with pytest.raises(ValueError):
-        step_standard(NULL)
+        step(NULL)
+
+
+def test_step_refuses_a_non_term():
+    with pytest.raises(TypeError, match="not a process term: 'x'"):
+        step("x")
+
+
+_PAIR = Pair(A, B)
+_NOT_STANDARD = "not a standard term: Pair(Atom('a'), Atom('b'))"
+_NOT_COMPENSABLE = "not a compensable term: Atom('a')"
+
+
+# `step` relates terms of both kinds, so each exploration refuses a term of
+# the other kind at its start, as the trace semantics does.
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: derived_traces_standard(_PAIR), _NOT_STANDARD),
+        (lambda: run_lifted(_PAIR, trace("a", "*")), _NOT_STANDARD),
+        (lambda: derived_forward(A), _NOT_COMPENSABLE),
+        (lambda: derived_traces_compensable(A), _NOT_COMPENSABLE),
+        (lambda: traces_standard(_PAIR), _NOT_STANDARD),
+        (lambda: traces_compensable(A), _NOT_COMPENSABLE),
+        (lambda: check_standard(_PAIR), _NOT_STANDARD),
+        (lambda: check_compensable(A), _NOT_COMPENSABLE),
+    ],
+    ids=["derived_traces_standard", "run_lifted", "derived_forward", "derived_traces_compensable",
+         "traces_standard", "traces_compensable", "check_standard", "check_compensable"],
+)
+def test_a_term_of_the_other_kind_is_refused(call, message):
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_step_seq_terminal_composition():
     # first part succeeds, second throws: the composite throws
-    assert step_standard(Seq(SKIP, THROW)) == ((Terminal.THROW, NULL),)
+    assert step(Seq(SKIP, THROW)) == ((Terminal.THROW, NULL),)
     # non-success propagates without starting the second part
-    assert step_standard(Seq(THROW, A)) == ((Terminal.THROW, NULL),)
+    assert step(Seq(THROW, A)) == ((Terminal.THROW, NULL),)
 
 
 def test_step_seq_skips_into_second_process():
     # after SKIP's tick, one step of the second process fires in the same
     # transition and the Seq node dissolves
-    assert step_standard(Seq(SKIP, A)) == (("a", SKIP),)
+    assert step(Seq(SKIP, A)) == (("a", SKIP),)
 
 
 def test_step_par_interleaves_without_lone_terminal():
-    steps = step_standard(Par(A, THROW))
+    steps = step(Par(A, THROW))
     assert steps == (("a", Par(SKIP, THROW)),)
     # termination only happens jointly
     assert not any(isinstance(label, Terminal) for label, _ in steps)
 
 
 def test_step_par_joint_termination_joins_terminals():
-    assert step_standard(Par(SKIP, THROW)) == ((Terminal.THROW, NULL),)
-    assert set(step_standard(Par(YIELD, YIELD))) == {(Terminal.TICK, NULL), (Terminal.YIELD, NULL)}
+    assert step(Par(SKIP, THROW)) == ((Terminal.THROW, NULL),)
+    assert set(step(Par(YIELD, YIELD))) == {(Terminal.TICK, NULL), (Terminal.YIELD, NULL)}
 
 
 def test_step_block_absorbs_throw_and_runs_compensation():
     # the forward throw discards the pair's compensation, so the block
     # terminates successfully with nothing to replay
-    assert step_standard(Block(Pair(THROW, B))) == ((Terminal.TICK, NULL),)
+    assert step(Block(Pair(THROW, B))) == ((Terminal.TICK, NULL),)
     # a banked compensation does run: [ a % b ; THROWW ] after the `a` step
     inner = Block(CSeq(Pair(SKIP, B), Pair(THROW, SKIP)))
-    assert step_standard(inner) == (("b", SKIP),)
+    assert step(inner) == (("b", SKIP),)
 
 
 def test_step_block_prunes_yielding_forward_runs():
-    assert step_standard(Block(Pair(YIELD, SKIP))) == ((Terminal.TICK, NULL),)
+    assert step(Block(Pair(YIELD, SKIP))) == ((Terminal.TICK, NULL),)
 
 
 def test_step_pair_banks_compensation_only_on_success():
-    assert step_compensable(Pair(SKIP, B)) == ((Terminal.TICK, B),)
-    assert step_compensable(Pair(THROW, B)) == ((Terminal.THROW, SKIP),)
+    assert step(Pair(SKIP, B)) == ((Terminal.TICK, B),)
+    assert step(Pair(THROW, B)) == ((Terminal.THROW, SKIP),)
 
 
 def test_step_aux_appends_banked_compensation():
-    steps = step_compensable(Aux(Pair(SKIP, Atom("q")), Atom("p")))
+    steps = step(Aux(Pair(SKIP, Atom("q")), Atom("p")))
     assert steps == ((Terminal.TICK, Seq(Atom("q"), Atom("p"))),)
 
 
 def test_step_cseq_enters_aux_construct():
-    steps = step_compensable(CSeq(Pair(SKIP, A), Pair(B, SKIP)))
+    steps = step(CSeq(Pair(SKIP, A), Pair(B, SKIP)))
     assert steps == (("b", Aux(Pair(SKIP, SKIP), A)),)
 
 
 def test_compensable_terminal_steps_yield_standard_terms():
     for term in (Pair(YIELD, A), CSeq(Pair(SKIP, A), Pair(THROW, B))):
-        for label, succ in step_compensable(term):
+        for label, succ in step(term):
             if isinstance(label, Terminal):
-                assert is_standard(succ)
+                assert isinstance(succ, StandardTerm)
 
 
 def test_steps_are_canonically_ordered():
@@ -274,7 +308,7 @@ _seeds = st.integers(0, 2**63 - 1)
 @given(_seeds)
 def test_standard_terminal_steps_end_in_null(seed):
     term = gen_term(GenConfig(seed=seed, max_depth=4, alphabet=("a", "b"), kind="std"))
-    for label, succ in step_standard(term):
+    for label, succ in step(term):
         if isinstance(label, Terminal):
             assert isinstance(succ, Null)
         else:
@@ -286,9 +320,9 @@ def test_compensable_terminal_steps_bank_standard_compensation(seed):
     term = gen_term(
         GenConfig(seed=seed, max_depth=4, alphabet=("a", "b"), kind="comp")
     )
-    for label, succ in step_compensable(term):
+    for label, succ in step(term):
         if isinstance(label, Terminal):
-            assert is_standard(succ)
+            assert isinstance(succ, StandardTerm)
 
 
 @given(_seeds)

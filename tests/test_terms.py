@@ -14,7 +14,6 @@ from ccsp.terms import (
     NULL,
     SKIP,
     THROW,
-    YIELD,
     Atom,
     Aux,
     Block,
@@ -26,7 +25,6 @@ from ccsp.terms import (
     Trace,
     TracePair,
     by_sort_key,
-    desugar_alias,
     is_event_name,
     pair_from_tokens,
     pair_tokens,
@@ -75,7 +73,7 @@ def test_atom_rejects_reserved_and_malformed_names():
 
 def test_terms_are_interned_values():
     assert Seq(A, B) is Seq(A, B)
-    assert Pair(SKIP, SKIP) is desugar_alias("SKIPP")
+    assert Pair(SKIP, SKIP) is parse_compensable("SKIPP")
     assert Seq(A, B) != Seq(B, A)
 
 
@@ -186,14 +184,6 @@ def test_validate_user_term_rejects_null_and_aux():
 def test_validate_user_term_checks_declared_alphabet():
     assert validate_user_term(Seq(A, B), alphabet=("a", "b")) == []
     assert validate_user_term(Seq(A, B), alphabet=("a",)) == ["event 'b' not in declared alphabet"]
-
-
-def test_desugar_aliases():
-    assert desugar_alias("SKIPP") == Pair(SKIP, SKIP)
-    assert desugar_alias("YIELDD") == Pair(YIELD, SKIP)
-    assert desugar_alias("THROWW") == Pair(THROW, SKIP)
-    with pytest.raises(ValueError):
-        desugar_alias("STOPP")
 
 
 def test_pretty_print_examples():

@@ -15,11 +15,15 @@ each kind of bad `--alphabet` (empty, repeated, malformed, reserved), a seeded
 `prop --lemmas` campaign at `--max-depth 5` and four shorter ones at
 depths 1, 2, 3 and 8 (leaf-only, shallow and deep generator tables),
 `prop` with `--kind std` and with `--kind comp` (each case's kind label),
-`prop --seed 3 --cases 200 --max-depth 4`, `example warehouse`, then `check`,
+`prop --seed 3 --cases 200 --max-depth 4`, `example warehouse`, `lts` and
+`traces --semantics operational` on the warehouse term (its transition
+graph takes every compensable rule: `;` into the auxiliary construct, `||`,
+`[]` and `THROWW` inside a block), then `check`,
 `traces`, `traces --format machine` and `lts` on every term of
 `tests/data/pinned_values.txt`, and `check` on every input of
-`tests/data/parse_errors_golden.txt`; both files are read from the
-checkout this script sits in.  Standard library only.
+`tests/data/parse_errors_golden.txt`; the warehouse term and both files
+are read from the checkout this script sits in.  Needs only the standard
+library and that checkout's `src/`.
 """
 from __future__ import annotations
 
@@ -32,7 +36,11 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-DATA = Path(__file__).resolve().parents[1] / "tests" / "data"
+ROOT = Path(__file__).resolve().parents[1]
+DATA = ROOT / "tests" / "data"
+sys.path.insert(0, str(ROOT / "src"))
+from ccsp.warehouse import WAREHOUSE_TEXT  # noqa: E402
+
 JOBS = 2
 
 
@@ -53,6 +61,8 @@ def argvs() -> list[list[str]]:
           for kind in ("std", "comp")),
         ["prop", "--seed", "3", "--cases", "200", "--max-depth", "4"],
         ["example", "warehouse"],
+        ["lts", WAREHOUSE_TEXT],
+        ["traces", "--semantics", "operational", WAREHOUSE_TEXT],
     ]
     for line in (DATA / "pinned_values.txt").read_text(encoding="utf-8").splitlines():
         if line.strip() and not line.startswith("#"):
