@@ -269,6 +269,12 @@ def check_healthiness(term: StandardTerm | CompensableTerm) -> bool:
     return any(t.terminal is not _YIELD for t in traces_standard(term))
 
 
+def forget(term: StandardTerm | CompensableTerm) -> None:
+    """Drop the term's own memoized trace set, not its subterms'."""
+    _T_STD.pop(term, None)
+    _T_COMP.pop(term, None)
+
+
 def clear_caches() -> None:
     """Drop all memoized trace sets (used by tests and long campaigns)."""
     _T_STD.clear()

@@ -166,7 +166,9 @@ LAWS: dict[int, tuple[str, tuple[str, ...], object]] = {
 
 
 def _law(lemma: int) -> tuple:
-    if lemma not in LAWS:
+    if isinstance(lemma, bool):  # `index` takes True as 1
+        raise TypeError(f"a law id must be an integer, not {lemma!r}")
+    if index(lemma) not in LAWS:  # 1.0 and "1" are a TypeError
         raise ValueError(f"no such law: {lemma}")
     return LAWS[lemma]
 
@@ -224,6 +226,8 @@ def gen_term(cfg: GenConfig) -> StandardTerm | CompensableTerm:
     `random.choices(names, weights)` does with every constructor weighted
     1.0, so the terms are that recipe's; the tests keep it as the reference.
     """
+    if not isinstance(cfg, GenConfig):
+        raise TypeError(f"not a GenConfig: {cfg!r}")
     gen = _Generator(_DrawTables(cfg.max_depth), random.Random(cfg.seed), cfg.alphabet)
     return gen.std(cfg.max_depth, 0) if cfg.kind == "std" else gen.comp(cfg.max_depth, 0)
 
@@ -381,11 +385,17 @@ def maybe_trim_caches() -> None:
 def check_terms(
     terms: Iterable[StandardTerm | CompensableTerm],
 ) -> Iterator[tuple[StandardTerm | CompensableTerm, Verdict, bool]]:
-    """`(term, verdict, healthy)` for each term, checked by its kind; the
-    memo tables are trimmed once the consumer has taken each item."""
+    """`(term, verdict, healthy)` for each term, checked by its kind.  Once
+    the consumer has taken an item, the term's own memo entries are dropped,
+    and a block's body's too (`enumerate_terms` streams block bodies, so
+    no later term uses them), then the memo tables are trimmed if they are
+    still large."""
     for term in terms:
         check = check_compensable if isinstance(term, CompensableTerm) else check_standard
         yield term, check(term), check_healthiness(term)
+        for dead in (term, term.body) if isinstance(term, Block) else (term,):
+            operational.forget(dead)
+            denotational.forget(dead)
         maybe_trim_caches()
 
 

@@ -211,16 +211,18 @@ def _check_kind(term, kind: type) -> None:
 
 
 def run_lifted(term: StandardTerm, t: Trace) -> bool:
-    """Does the standard term have a run labelled exactly by `t`?  Follows
-    the trace with the set of states reached after each event, so a long
-    trace costs no interpreter frames."""
+    """Does the standard term have a run labelled exactly by `t`, a `Trace`
+    or any ``(events, terminal)`` pair (anything else is a `TypeError`)?
+    Follows the trace with the set of states reached after each event, so a
+    long trace costs no interpreter frames."""
     if isinstance(term, Null):
         raise ValueError("the null process has no runs")
     _check_kind(term, StandardTerm)
+    events, terminal = Trace(*t)
     states = {term}
-    for event in t.events:
+    for event in events:
         states = {succ for state in states for label, succ in step(state) if label == event}
-    return any(label is t.terminal for state in states for label, _ in step(state))
+    return any(label is terminal for state in states for label, _ in step(state))
 
 
 class _Budget:
@@ -376,6 +378,14 @@ def build_lts(term: LtsNode) -> Lts:
                 queue.append(succ)
             edges.append((node, label, succ))
     return Lts(nodes=tuple(nodes), edges=tuple(edges))
+
+
+def forget(term: StandardTerm | CompensableTerm) -> None:
+    """Drop the term's own memoized steps and derived traces, not those of
+    its subterms or successors."""
+    _STEPS.pop(term, None)
+    _DT_STD.pop(term, None)
+    _FORWARD.pop(term, None)
 
 
 def clear_caches() -> None:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ccsp
-from ccsp import denotational
+from ccsp import denotational, operational
 from ccsp.equivalence import (
     GenConfig,
     LAWS,
@@ -142,6 +142,15 @@ def test_lemma_suite_rejects_an_unknown_law():
         run_lemma_suite(8, 1, 0, 3, ("a",))
 
 
+@pytest.mark.parametrize("lemma", [1.0, True, "1"], ids=["float", "bool", "str"])
+def test_a_law_id_must_be_an_integer(lemma):
+    # Each used to check law 1, or to fail later inside the suite's seeding.
+    with pytest.raises(TypeError):
+        check_lemma(lemma, (A, B))
+    with pytest.raises(TypeError):
+        run_lemma_suite(lemma, 2, 0, 2, ("a",))
+
+
 def test_prop_campaign_refuses_a_negative_case_count():
     cases = run_prop_campaign(1, -3, 3, ("a", "b"), "both")
     with pytest.raises(ValueError, match="cases must be nonnegative"):
@@ -220,6 +229,11 @@ def test_gen_config_refuses_a_non_integer(seed, max_depth):
     # A float depth used to make a term, and "7" to seed another stream than 7.
     with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
         GenConfig(seed, max_depth, ("a",), "std")
+
+
+def test_gen_term_refuses_a_non_config():
+    with pytest.raises(TypeError, match="not a GenConfig: 'x'"):
+        gen_term("x")
 
 
 def test_gen_config_refuses_a_repeated_event():
@@ -476,6 +490,38 @@ def test_check_terms_matches_the_direct_checks():
         check = check_compensable if isinstance(term, CompensableTerm) else check_standard
         assert verdict == check(term)
         assert healthy == denotational.check_healthiness(term)
+
+
+_MEMO_TABLES = (
+    operational._STEPS, operational._DT_STD, operational._FORWARD,
+    denotational._T_STD, denotational._T_COMP,
+)
+
+
+def test_check_terms_forgets_each_checked_term_and_its_block_body():
+    body = Pair(A, B)
+    terms = [Block(body), Seq(A, B)]
+    assert [verdict.status for _, verdict, _ in check_terms(terms)] == ["equal", "equal"]
+    for table in _MEMO_TABLES:
+        assert not {*terms, body} & table.keys()
+
+
+@pytest.mark.parametrize(
+    "args, limit",
+    [((2, ("a", "b")), 1_000), ((1, ("a", "b"), "comp"), 1_000)],
+    ids=["std-2", "comp-1"],
+)
+def test_check_terms_leaves_few_memo_entries(args, limit):
+    # Keeping every checked term's entries left 31 173 and 9 899.
+    for _ in check_terms(enumerate_terms(*args)):
+        pass
+    assert operational.cache_size() + denotational.cache_size() < limit
+
+
+def test_check_terms_gives_the_same_verdicts_twice_in_a_row():
+    terms = list(enumerate_terms(2, ("a", "b"))) + list(enumerate_terms(1, ("a",), "comp"))
+    first, second = (list(check_terms(terms)) for _ in range(2))
+    assert first == second
 
 
 # -- mutation sensitivity and counterexample soundness ------------------------

@@ -165,6 +165,21 @@ def test_run_lifted_examples():
         run_lifted(NULL, trace("*"))
 
 
+def test_run_lifted_takes_a_plain_events_terminal_pair():
+    # A trace equals the plain tuple, so both give one answer.
+    assert run_lifted(A, (("a",), Terminal.TICK)) is run_lifted(A, trace("a", "*")) is True
+    assert not run_lifted(A, ((), Terminal.TICK))
+
+
+@pytest.mark.parametrize(
+    "t", [("a",), (("a",), "*"), (("a",), Terminal.TICK, "b"), 5],
+    ids=["one-part", "glyph", "three-parts", "int"],
+)
+def test_run_lifted_refuses_what_is_not_a_trace(t):
+    with pytest.raises(TypeError):
+        run_lifted(A, t)
+
+
 def test_run_lifted_follows_a_long_trace():
     # A balanced `;` tree of 512 events: two frames per event used to
     # exhaust the interpreter's stack.
