@@ -17,22 +17,26 @@ from ccsp import (
     traces_compensable,
     traces_standard,
 )
-from ccsp.terms import format_trace_set
+from ccsp.terms import by_sort_key
+
+
+def _render(traces):
+    return " ".join(str(t) for t in sorted(traces, key=by_sort_key))
 
 
 def show_standard(text):
     term = parse_standard(text)
     print(f"\n  {text}")
-    print(f"    compositional: {' '.join(format_trace_set(traces_standard(term)))}")
-    print(f"    derived:       {' '.join(format_trace_set(derived_traces_standard(term)))}")
+    print(f"    compositional: {_render(traces_standard(term))}")
+    print(f"    derived:       {_render(derived_traces_standard(term))}")
     print(f"    verdict:       {check_standard(term).status}")
 
 
 def show_compensable(text):
     term = parse_compensable(text)
     print(f"\n  {text}")
-    print(f"    compositional: {' '.join(format_trace_set(traces_compensable(term)))}")
-    print(f"    derived:       {' '.join(format_trace_set(derived_traces_compensable(term)))}")
+    print(f"    compositional: {_render(traces_compensable(term))}")
+    print(f"    derived:       {_render(derived_traces_compensable(term))}")
     print(f"    verdict:       {check_compensable(term).status}")
 
 

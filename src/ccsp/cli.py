@@ -204,12 +204,6 @@ def run(argv: Sequence[str] | None = None) -> int:
     except StateCapExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except RecursionError:
-        # The operational semantics recurses once per step of a run, which
-        # the parser's depth limit does not bound (a balanced tree of 1 024
-        # events is 11 deep).
-        print("error: term too large to explore", file=sys.stderr)
-        return 1
     finally:
         if collecting:
             gc.enable()

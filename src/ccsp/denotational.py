@@ -95,20 +95,18 @@ def interrupt_traces(p: Trace, q: Trace) -> Trace:
 def interleave_events(
     s: tuple[Event, ...], u: tuple[Event, ...]
 ) -> frozenset[tuple[Event, ...]]:
-    """All order-preserving shuffles of the two event sequences."""
+    """All order-preserving shuffles of the two event sequences, built row
+    by row without recursion; only the whole pair is memoized."""
     hit = _SHUFFLES.get((s, u))
     if hit is not None:
         return hit
-    if not s:
-        out = frozenset((u,))
-    elif not u:
-        out = frozenset((s,))
-    else:
-        out = frozenset(
-            {(s[0],) + rest for rest in interleave_events(s[1:], u)}
-            | {(u[0],) + rest for rest in interleave_events(s, u[1:])}
-        )
-    _SHUFFLES[(s, u)] = out
+    # row[j] holds the shuffles of s[i:] with u[j:], for i from len(s) down.
+    row = [(u[j:],) for j in range(len(u) + 1)]
+    for i in reversed(range(len(s))):
+        above, row = row, [None] * len(u) + [(s[i:],)]
+        for j in reversed(range(len(u))):
+            row[j] = {(s[i],) + t for t in above[j]} | {(u[j],) + t for t in row[j + 1]}
+    out = _SHUFFLES[(s, u)] = frozenset(row[0])
     return out
 
 

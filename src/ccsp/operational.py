@@ -237,8 +237,51 @@ class _Budget:
             raise StateCapExceeded(STATE_CAP)
 
 
-_DT_STD: dict[StandardTerm, frozenset[Trace]] = {}
-_FORWARD: dict[CompensableTerm, frozenset[tuple[Trace, StandardTerm]]] = {}
+#: Each explored state's run outcomes: traces for a standard state, and
+#: ``(trace, banked compensation)`` pairs for a compensable one.
+_RUNS: dict[StandardTerm | CompensableTerm, frozenset] = {}
+
+
+def _runs(term: StandardTerm | CompensableTerm, budget: _Budget) -> frozenset:
+    """The run outcomes of `term`, computed without recursion: a state on
+    the stack is computed once every event successor is in `_RUNS`, which
+    ends because every successor is lighter."""
+    runs = _RUNS
+    hit = runs.get(term)
+    if hit is not None:
+        return hit
+    stack = [term]
+    while stack:
+        state = stack[-1]
+        if state in runs:
+            stack.pop()
+            continue
+        steps = step(state)
+        waiting = len(stack)
+        for label, succ in steps:
+            if isinstance(label, str) and succ not in runs:
+                stack.append(succ)
+        if len(stack) > waiting:
+            continue
+        stack.pop()
+        budget.spend()
+        out = set()
+        if isinstance(state, StandardTerm):
+            for label, succ in steps:
+                if isinstance(label, str):
+                    for events, terminal in runs[succ]:
+                        out.add(unchecked_trace(((label,) + events, terminal)))
+                else:
+                    out.add(unchecked_trace(((), label)))
+        else:
+            for label, succ in steps:
+                if isinstance(label, str):
+                    for (events, terminal), banked in runs[succ]:
+                        out.add((unchecked_trace(((label,) + events, terminal)), banked))
+                else:
+                    out.add((unchecked_trace(((), label)), succ))
+        runs[state] = frozenset(out)
+    return runs[term]
 
 
 def derived_traces_standard(term: StandardTerm) -> frozenset[Trace]:
@@ -246,48 +289,14 @@ def derived_traces_standard(term: StandardTerm) -> frozenset[Trace]:
     if isinstance(term, Null):
         raise ValueError("the null process has no derived traces")
     _check_kind(term, StandardTerm)
-    return _dt_std(term, _Budget())
-
-
-def _dt_std(term: StandardTerm, budget: _Budget) -> frozenset[Trace]:
-    hit = _DT_STD.get(term)
-    if hit is not None:
-        return hit
-    budget.spend()
-    out: set[Trace] = set()
-    for label, succ in step(term):
-        if isinstance(label, str):
-            for events, terminal in _dt_std(succ, budget):
-                out.add(unchecked_trace(((label,) + events, terminal)))
-        else:
-            out.add(unchecked_trace(((), label)))
-    result = frozenset(out)
-    _DT_STD[term] = result
-    return result
+    return _runs(term, _Budget())
 
 
 def derived_forward(term: CompensableTerm) -> frozenset[tuple[Trace, StandardTerm]]:
     """All (forward trace, banked compensation) outcomes of a compensable
     term's forward runs."""
     _check_kind(term, CompensableTerm)
-    return _forward(term, _Budget())
-
-
-def _forward(term: CompensableTerm, budget: _Budget) -> frozenset[tuple[Trace, StandardTerm]]:
-    hit = _FORWARD.get(term)
-    if hit is not None:
-        return hit
-    budget.spend()
-    out: set[tuple[Trace, StandardTerm]] = set()
-    for label, succ in step(term):
-        if isinstance(label, str):
-            for (events, terminal), banked in _forward(succ, budget):
-                out.add((unchecked_trace(((label,) + events, terminal)), banked))
-        else:
-            out.add((unchecked_trace(((), label)), succ))
-    result = frozenset(out)
-    _FORWARD[term] = result
-    return result
+    return _runs(term, _Budget())
 
 
 def derived_traces_compensable(term: CompensableTerm) -> frozenset[TracePair]:
@@ -296,8 +305,8 @@ def derived_traces_compensable(term: CompensableTerm) -> frozenset[TracePair]:
     budget = _Budget()
     return frozenset(
         TracePair(t, t2)
-        for t, banked in _forward(term, budget)
-        for t2 in _dt_std(banked, budget)
+        for t, banked in _runs(term, budget)
+        for t2 in _runs(banked, budget)
     )
 
 
@@ -384,16 +393,14 @@ def forget(term: StandardTerm | CompensableTerm) -> None:
     """Drop the term's own memoized steps and derived traces, not those of
     its subterms or successors."""
     _STEPS.pop(term, None)
-    _DT_STD.pop(term, None)
-    _FORWARD.pop(term, None)
+    _RUNS.pop(term, None)
 
 
 def clear_caches() -> None:
     """Drop memoized steps and derived traces."""
     _STEPS.clear()
-    _DT_STD.clear()
-    _FORWARD.clear()
+    _RUNS.clear()
 
 
 def cache_size() -> int:
-    return len(_STEPS) + len(_DT_STD) + len(_FORWARD)
+    return len(_STEPS) + len(_RUNS)

@@ -70,7 +70,7 @@ _BY_GLYPH = {g: t for t, g in _GLYPHS.items()}
 WORD = re.compile(r"[A-Za-z][A-Za-z0-9_']*")
 
 # An event is just its name; names are validated where events enter the
-# system (atom construction, trace deserialization, alphabet declarations).
+# system (atom and trace construction, alphabet declarations).
 Event = str
 
 
@@ -90,13 +90,6 @@ def check_alphabet(alphabet: Iterable[Event]) -> tuple[Event, ...]:
     if len(set(names)) < len(names):
         raise ValueError("alphabet must list each event once")
     return names
-
-
-def terminal_from_glyph(glyph: str) -> Terminal:
-    try:
-        return _BY_GLYPH[glyph]
-    except KeyError:
-        raise ValueError(f"not a terminal glyph: {glyph!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +566,8 @@ class Trace(_Observation):
     tuple ``(events, terminal)``: immutable, hashed and compared as that
     tuple (so it equals the plain tuple ``(events, terminal)``), and
     totally ordered by `sort_key` (length, then events, then terminal) to
-    give trace sets a canonical iteration order.
+    give trace sets a canonical iteration order.  Each event must be a
+    valid event name (`ValueError`), as in an alphabet.
     """
 
     __slots__ = ()
@@ -581,7 +575,13 @@ class Trace(_Observation):
     def __new__(cls, events: Iterable[Event], terminal: Terminal):
         if not isinstance(terminal, Terminal):
             raise TypeError(f"not a terminal: {terminal!r}")
-        return tuple.__new__(cls, (tuple(events), terminal))
+        if isinstance(events, str):
+            raise TypeError(f"trace events must be a sequence of names, not a string: {events!r}")
+        events = tuple(events)
+        for name in events:
+            if not is_event_name(name):
+                raise ValueError(f"invalid event name: {name!r}")
+        return tuple.__new__(cls, (events, terminal))
 
     events = property(itemgetter(0), doc="The normal events, a tuple of names.")
     terminal = property(itemgetter(1), doc="The `Terminal` that ends the trace.")
@@ -632,7 +632,10 @@ def trace(*parts: str) -> Trace:
     """
     if not parts:
         raise ValueError("a trace needs at least a terminal glyph")
-    return Trace(tuple(parts[:-1]), terminal_from_glyph(parts[-1]))
+    terminal = _BY_GLYPH.get(parts[-1])
+    if terminal is None:
+        raise ValueError(f"not a terminal glyph: {parts[-1]!r}")
+    return Trace(parts[:-1], terminal)
 
 
 #: Sort key for canonical order of traces and trace pairs; sorting with it
@@ -640,32 +643,10 @@ def trace(*parts: str) -> Trace:
 by_sort_key = attrgetter("sort_key")
 
 
-def format_trace_set(traces: Iterable[Trace | TracePair]) -> list[str]:
-    """Canonically ordered text rendering, one member per line."""
-    return [str(t) for t in sorted(traces, key=by_sort_key)]
-
-
 def trace_tokens(t: Trace) -> list[str]:
     """Machine form of a trace: event tokens followed by the terminal glyph."""
     return [*t.events, t.terminal.glyph]
 
 
-def trace_from_tokens(tokens: Iterable[str]) -> Trace:
-    tokens = list(tokens)
-    if not tokens:
-        raise ValueError("empty token list")
-    terminal = terminal_from_glyph(tokens[-1])
-    events = tokens[:-1]
-    for e in events:
-        if not is_event_name(e):
-            raise ValueError(f"invalid event token: {e!r}")
-    return Trace(tuple(events), terminal)
-
-
 def pair_tokens(p: TracePair) -> list[list[str]]:
     return [trace_tokens(p.forward), trace_tokens(p.compensation)]
-
-
-def pair_from_tokens(tokens: Iterable[Iterable[str]]) -> TracePair:
-    fwd, comp = tokens
-    return TracePair(trace_from_tokens(fwd), trace_from_tokens(comp))

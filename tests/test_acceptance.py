@@ -30,7 +30,7 @@ from ccsp.cli import run
 from ccsp.equivalence import check_standard, enumerate_terms, run_lemma_suite
 from ccsp.operational import derived_traces_compensable, derived_traces_standard
 from ccsp.parser import parse_compensable, parse_standard
-from ccsp.terms import Terminal, Trace, format_trace_set
+from ccsp.terms import Terminal, Trace, by_sort_key
 
 TIME_LIMIT = 300.0  # seconds per exhaustive campaign
 GOLDEN = Path(__file__).parent / "data" / "pinned_values.txt"
@@ -163,8 +163,9 @@ def test_pinned_golden_values():
             derived = derived_traces_compensable(term)
             denoted = denotational.traces_compensable(term)
         for name, got in (("derived", derived), ("denotational", denoted)):
-            if format_trace_set(got) != expected:
-                failures.append(f"{term_text} [{name}]: {format_trace_set(got)}")
+            rendered = [str(t) for t in sorted(got, key=by_sort_key)]
+            if rendered != expected:
+                failures.append(f"{term_text} [{name}]: {rendered}")
         checked += 1
     record("pinned golden values", not failures, f"{checked} worked examples; {failures}")
 

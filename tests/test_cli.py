@@ -11,8 +11,8 @@ from ccsp import cli, operational
 from ccsp.cli import run
 from ccsp.denotational import traces_compensable, traces_standard
 from ccsp.equivalence import enumerate_terms
-from ccsp.parser import MAX_DEPTH, parse_compensable, parse_standard
-from ccsp.terms import pair_from_tokens, term_depth, trace_from_tokens
+from ccsp.parser import MAX_DEPTH, MAX_NESTING, parse_compensable, parse_standard
+from ccsp.terms import by_sort_key, term_depth
 
 
 def invoke(argv):
@@ -58,6 +58,8 @@ _DEEP_SHAPES = {
     "choice": lambda depth: " [] ".join(["a"] * depth),
     "interrupt": lambda depth: " |> ".join(["THROW"] * (depth - 1) + ["a"]),
     "block-cseq": lambda depth: "[ " + " ; ".join(["a % b"] * (depth - 2)) + " ]",
+    # The throw runs the whole banked compensation, a run as long as the term.
+    "block-cseq-throw": lambda depth: "[ " + " ; ".join(["a % b"] * (depth - 3)) + " ; THROWW ]",
 }
 
 
@@ -81,18 +83,56 @@ def _balanced_seq(n: int) -> str:
     return "a" if n == 0 else f"({_balanced_seq(n - 1)} ; {_balanced_seq(n - 1)})"
 
 
+def test_balanced_tree_of_1024_events_gets_a_verdict():
+    # Shallow enough for the parser, and no derived run or shuffle recurses
+    # once per event, so 1 024 events no longer end in a RecursionError.
+    text = _balanced_seq(10)
+    assert term_depth(parse_standard(text)) == 11
+    code, out, err = invoke(["check", text])
+    assert (code, err) == (0, "")
+    assert "status: equal" in out
+    code, out, err = invoke(["traces", "--semantics", "operational", text])
+    assert (code, out, err) == (0, "<" + "a," * 1024 + "*>\n", "")
+    code, out, err = invoke(["check", f"{text} || b"])
+    assert (code, err) == (0, "")
+    assert "status: equal" in out
+
+
 @pytest.mark.parametrize(
     "argv", [["check"], ["traces", "--semantics", "operational"]], ids=["check", "traces"]
 )
-def test_term_too_large_to_explore_exits_one(argv):
-    # Shallow enough for the parser, but the operational semantics recurses
-    # once per step of a run: 1 024 events used to end in a RecursionError.
-    text = _balanced_seq(10)
-    assert term_depth(parse_standard(text)) == 11
-    code, out, err = invoke([*argv, text])
+def test_term_too_large_to_explore_exits_one(argv, monkeypatch):
+    # Six interleaved events reach 64 states, more than the lowered cap: the
+    # one "too large" outcome left is the state cap, never a RecursionError.
+    monkeypatch.setattr(operational, "STATE_CAP", 32)
+    code, out, err = invoke([*argv, "a || b || c || d || e || f"])
     assert (code, out) == (1, "")
-    assert err == "error: term too large to explore\n"
+    assert err == "error: state cap exceeded: more than 32 states explored\n"
     assert invoke(["check", "a ; b"])[0] == 0
+
+
+# Right-nested chains, as deep as the bracket limit lets them be.
+_RIGHT_CHAINS = {
+    name: f" {op} (".join(leaves[:MAX_NESTING + 1]) + ")" * MAX_NESTING
+    for name, op, leaves in (
+        ("seq", ";", ["a", "b"] * MAX_NESTING),
+        ("choice", "[]", ["a", "b"] * MAX_NESTING),
+        ("interrupt", "|>", ["THROW"] * MAX_NESTING + ["a"]),
+    )
+}
+
+
+@pytest.mark.parametrize("command", ["check", "traces", "lts"])
+@pytest.mark.parametrize("shape", list(_RIGHT_CHAINS))
+def test_right_nested_chains_end_in_a_verdict_or_the_state_cap(shape, command):
+    text = _RIGHT_CHAINS[shape]
+    assert term_depth(parse_standard(text)) == MAX_NESTING + 1
+    code, out, err = invoke([command, text])
+    if code == 1:
+        assert (out, err[:26]) == ("", "error: state cap exceeded:")
+    else:
+        assert (code, err) == (0, "")
+        assert out
 
 
 def test_usage_error_exits_two():
@@ -143,6 +183,11 @@ def test_traces_alphabet_violation_is_usage_error():
     assert "not in declared alphabet" in err
 
 
+def _tokens(t):
+    """A trace as the machine format writes it: its events, then its glyph."""
+    return [*t.events, t.terminal.glyph]
+
+
 def test_traces_machine_round_trips():
     code, out, _ = invoke(
         ["traces", "a ; (SKIP [] THROW)", "--format", "machine", "--semantics", "both"]
@@ -150,8 +195,9 @@ def test_traces_machine_round_trips():
     assert code == 0
     record = json.loads(out)
     term = parse_standard(record["term"])
+    expected = [_tokens(t) for t in sorted(traces_standard(term), key=by_sort_key)]
     for tokens_set in record["sets"].values():
-        assert {trace_from_tokens(t) for t in tokens_set} == traces_standard(term)
+        assert tokens_set == expected
 
 
 def test_traces_machine_round_trips_compensable():
@@ -161,8 +207,9 @@ def test_traces_machine_round_trips_compensable():
     assert code == 0
     record = json.loads(out)
     term = parse_compensable(record["term"])
+    expected = [[_tokens(f), _tokens(c)] for f, c in sorted(traces_compensable(term), key=by_sort_key)]
     for tokens_set in record["sets"].values():
-        assert {pair_from_tokens(p) for p in tokens_set} == traces_compensable(term)
+        assert tokens_set == expected
 
 
 def test_check_machine_record_fields():

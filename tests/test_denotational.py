@@ -1,3 +1,5 @@
+import random
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -124,6 +126,27 @@ def test_interleave_events_matches_oracle(s, u):
 def test_interleave_events_with_duplicates_bounded_by_binomial(s, u):
     s, u = tuple(s), tuple(u)
     assert len(interleave_events(s, u)) <= comb(len(s) + len(u), len(s))
+
+
+def _shuffles_by_position(s, u):
+    """Reference for interleavings with no recursion: one shuffle per choice
+    of the positions that `s`'s events take."""
+    out = set()
+    for positions in combinations(range(len(s) + len(u)), len(s)):
+        left, right = iter(s), iter(u)
+        out.add(tuple(next(left) if k in positions else next(right)
+                      for k in range(len(s) + len(u))))
+    return out
+
+
+def test_interleave_events_matches_positions_on_seeded_pairs():
+    rng = random.Random(17)
+    for _ in range(300):
+        s = tuple(rng.choices("abc", k=rng.randint(0, 7)))
+        u = tuple(rng.choices("abc", k=rng.randint(0, 7)))
+        assert interleave_events(s, u) == _shuffles_by_position(s, u)
+    for s, u in [((), ()), (("a",) * 6, ()), ((), ("b", "b")), (("a",) * 5, ("a",) * 4)]:
+        assert interleave_events(s, u) == _shuffles_by_position(s, u)
 
 
 def test_par_traces_examples():

@@ -493,7 +493,7 @@ def test_check_terms_matches_the_direct_checks():
 
 
 _MEMO_TABLES = (
-    operational._STEPS, operational._DT_STD, operational._FORWARD,
+    operational._STEPS, operational._RUNS,
     denotational._T_STD, denotational._T_COMP,
 )
 

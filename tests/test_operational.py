@@ -171,6 +171,14 @@ def test_run_lifted_takes_a_plain_events_terminal_pair():
     assert not run_lifted(A, ((), Terminal.TICK))
 
 
+def test_run_lifted_refuses_a_string_of_events():
+    # A string's letters are not a trace's events.
+    with pytest.raises(TypeError, match="not a string: 'ab'"):
+        run_lifted(Seq(A, B), ("ab", Terminal.TICK))
+    with pytest.raises(ValueError, match="^invalid event name: '1'$"):
+        run_lifted(A, (("1",), Terminal.TICK))
+
+
 @pytest.mark.parametrize(
     "t", [("a",), (("a",), "*"), (("a",), Terminal.TICK, "b"), 5],
     ids=["one-part", "glyph", "three-parts", "int"],

@@ -26,14 +26,12 @@ from ccsp.terms import (
     TracePair,
     by_sort_key,
     is_event_name,
-    pair_from_tokens,
     pair_tokens,
     pretty_print,
     term_depth,
     term_op_count,
     term_weight,
     trace,
-    trace_from_tokens,
     trace_tokens,
     validate_user_term,
 )
@@ -278,13 +276,27 @@ def test_generator_is_deterministic(cfg):
 def test_trace_token_round_trip():
     t = trace("a", "b", "?")
     assert trace_tokens(t) == ["a", "b", "?"]
-    assert trace_from_tokens(trace_tokens(t)) == t
+    assert trace(*trace_tokens(t)) == t
     p = TracePair(trace("a", "!"), trace("*"))
-    assert pair_from_tokens(pair_tokens(p)) == p
+    assert TracePair(*(trace(*tokens) for tokens in pair_tokens(p))) == p
+    with pytest.raises(ValueError, match="not a terminal glyph: 'b'"):
+        trace("a", "b")  # missing terminal glyph
     with pytest.raises(ValueError):
-        trace_from_tokens(["a", "b"])  # missing terminal glyph
-    with pytest.raises(ValueError):
-        trace_from_tokens([])
+        trace()
+
+
+def test_trace_events_are_a_sequence_of_names():
+    with pytest.raises(TypeError, match="not a string: 'ab'"):
+        Trace("ab", Terminal.TICK)
+    assert Trace(["a", "b"], Terminal.TICK) == (("a", "b"), Terminal.TICK)
+
+
+@pytest.mark.parametrize("name", ["1", "SKIP", "THROWW", "", "a b", "b!"])
+def test_trace_refuses_an_invalid_or_reserved_event_name(name):
+    with pytest.raises(ValueError, match=f"^invalid event name: {name!r}$"):
+        Trace(["a", name], Terminal.TICK)
+    with pytest.raises(ValueError, match=f"^invalid event name: {name!r}$"):
+        trace(name, "*")
 
 
 def test_terms_are_built_positionally():
