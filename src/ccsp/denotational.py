@@ -21,7 +21,8 @@ The rules in one breath:
   traces altogether.
 
 Traces are ``(events, terminal)`` and trace pairs ``(forward, compensation)``
-tuples; the per-trace operators read them by index, faster than by name.
+tuples; the per-trace operators unpack them, faster than reading by name,
+so an argument that is not a pair is a `TypeError` or `ValueError`.
 """
 from __future__ import annotations
 
@@ -47,6 +48,7 @@ from .terms import (
     Trace,
     TracePair,
     Yield,
+    check_kind,
     unchecked_trace,
 )
 
@@ -74,21 +76,29 @@ def sync_terminals(left: Terminal, right: Terminal) -> frozenset[Terminal]:
     Set-valued because parallel termination is specified as membership in
     the synchronisation set.
     """
-    return _SYNC[left, right]
+    try:
+        return _SYNC[left, right]
+    except KeyError:
+        bad = right if isinstance(left, Terminal) else left
+        raise TypeError(f"not a terminal: {bad!r}") from None
 
 
 def seq_traces(p: Trace, q: Trace) -> Trace:
     """Sequential composition on traces: continue with `q` only after a
     successful `p`, otherwise the observation is just `p`."""
-    if p[1] is _TICK:
-        return unchecked_trace((p[0] + q[0], q[1]))
+    events, terminal = p
+    if terminal is _TICK:
+        more, end = q
+        return unchecked_trace((events + more, end))
     return p
 
 
 def interrupt_traces(p: Trace, q: Trace) -> Trace:
     """Interrupt handling on traces: `q` runs when `p` throws."""
-    if p[1] is _THROW:
-        return unchecked_trace((p[0] + q[0], q[1]))
+    events, terminal = p
+    if terminal is _THROW:
+        more, end = q
+        return unchecked_trace((events + more, end))
     return p
 
 
@@ -113,19 +123,19 @@ def interleave_events(
 def par_traces(p: Trace, q: Trace) -> frozenset[Trace]:
     """Parallel composition on traces: every shuffle of the event parts,
     capped with the synchronised terminal."""
+    (s, left), (u, right) = p, q
     return frozenset(
         unchecked_trace((events, omega))
-        for omega in sync_terminals(p[1], q[1])
-        for events in interleave_events(p[0], q[0])
+        for omega in sync_terminals(left, right)
+        for events in interleave_events(s, u)
     )
 
 
 def pair_traces(p: Trace, q: Trace) -> TracePair:
     """Compensation pairing on traces: the compensation is installed only
     when the forward trace succeeds."""
-    if p[1] is _TICK:
-        return TracePair(p, q)
-    return TracePair(p, _TICK_TRACE)
+    _, terminal = p
+    return TracePair(p, q if terminal is _TICK else _TICK_TRACE)
 
 
 def block_traces(p: Trace, compensation: Trace) -> frozenset[Trace]:
@@ -135,10 +145,12 @@ def block_traces(p: Trace, compensation: Trace) -> frozenset[Trace]:
     on (hiding the interrupt), and a yielding forward trace contributes
     nothing.
     """
-    if p[1] is _TICK:
+    events, terminal = p
+    if terminal is _TICK:
         return frozenset((p,))
-    if p[1] is _THROW:
-        return frozenset((unchecked_trace((p[0] + compensation[0], compensation[1])),))
+    if terminal is _THROW:
+        more, end = compensation
+        return frozenset((unchecked_trace((events + more, end)),))
     return frozenset()
 
 
@@ -175,7 +187,8 @@ def lift_cseq(left: frozenset[TracePair], right: frozenset[TracePair]) -> frozen
     out = []
     for lp in left:
         lf, lc = lp
-        if lf[1] is _TICK:
+        _, terminal = lf
+        if terminal is _TICK:
             out += (TracePair(seq_traces(lf, rf), seq_traces(rc, lc)) for rf, rc in right)
         else:
             out.append(lp)
@@ -197,18 +210,34 @@ def lift_cpar(left: frozenset[TracePair], right: frozenset[TracePair]) -> frozen
 # Semantic functions
 # ---------------------------------------------------------------------------
 
-_T_STD: dict[StandardTerm, frozenset[Trace]] = {}
-_T_COMP: dict[CompensableTerm, frozenset[TracePair]] = {}
+_TRACES: dict[StandardTerm | CompensableTerm, frozenset] = {}
 _SHUFFLES: dict[tuple[tuple[Event, ...], tuple[Event, ...]], frozenset[tuple[Event, ...]]] = {}
 
 
-def traces_standard(term: StandardTerm) -> frozenset[Trace]:
-    """The trace set of a standard user term, evaluated compositionally
-    and memoized per subterm."""
-    hit = _T_STD.get(term)
+def _traces(term: StandardTerm | CompensableTerm) -> frozenset:
+    """The trace set of a standard term, or the trace-pair set of a
+    compensable one, evaluated compositionally and memoized per subterm."""
+    hit = _TRACES.get(term)
     if hit is not None:
         return hit
+    # Composites first: a leaf misses the table only on its first visit.
     match term:
+        case Pair(f, c):
+            out = lift_pair(_traces(f), _traces(c))
+        case CSeq(l, r):
+            out = lift_cseq(_traces(l), _traces(r))
+        case CPar(l, r):
+            out = lift_cpar(_traces(l), _traces(r))
+        case Seq(l, r):
+            out = lift_seq(_traces(l), _traces(r))
+        case Choice(l, r) | CChoice(l, r):
+            out = _traces(l) | _traces(r)
+        case Par(l, r):
+            out = lift_par(_traces(l), _traces(r))
+        case Interrupt(l, r):
+            out = lift_interrupt(_traces(l), _traces(r))
+        case Block(body):
+            out = lift_block(_traces(body))
         case Atom(e):
             out = frozenset((Trace((e,), _TICK),))
         case Skip():
@@ -217,68 +246,46 @@ def traces_standard(term: StandardTerm) -> frozenset[Trace]:
             out = frozenset((Trace((), _THROW),))
         case Yield():
             out = frozenset((Trace((), _YIELD), Trace((), _TICK)))
-        case Seq(l, r):
-            out = lift_seq(traces_standard(l), traces_standard(r))
-        case Choice(l, r):
-            out = traces_standard(l) | traces_standard(r)
-        case Par(l, r):
-            out = lift_par(traces_standard(l), traces_standard(r))
-        case Interrupt(l, r):
-            out = lift_interrupt(traces_standard(l), traces_standard(r))
-        case Block(body):
-            out = lift_block(traces_compensable(body))
         case Null():
             raise ValueError("the null process has no denotation")
+        case Aux():
+            raise ValueError("the auxiliary construct has no denotation")
         case _:
-            raise TypeError(f"not a standard term: {term!r}")
-    _T_STD[term] = out
+            raise TypeError(f"not a process term: {term!r}")
+    _TRACES[term] = out
     return out
+
+
+def traces_standard(term: StandardTerm) -> frozenset[Trace]:
+    """The trace set of a standard user term."""
+    check_kind(term, StandardTerm)
+    return _traces(term)
 
 
 def traces_compensable(term: CompensableTerm) -> frozenset[TracePair]:
     """The trace-pair set of a compensable user term."""
-    hit = _T_COMP.get(term)
-    if hit is not None:
-        return hit
-    match term:
-        case Pair(f, c):
-            out = lift_pair(traces_standard(f), traces_standard(c))
-        case CSeq(l, r):
-            out = lift_cseq(traces_compensable(l), traces_compensable(r))
-        case CChoice(l, r):
-            out = traces_compensable(l) | traces_compensable(r)
-        case CPar(l, r):
-            out = lift_cpar(traces_compensable(l), traces_compensable(r))
-        case Aux():
-            raise ValueError("the auxiliary construct has no denotation")
-        case _:
-            raise TypeError(f"not a compensable term: {term!r}")
-    _T_COMP[term] = out
-    return out
+    check_kind(term, CompensableTerm)
+    return _traces(term)
 
 
 def check_healthiness(term: StandardTerm | CompensableTerm) -> bool:
     """Every process must be able to terminate or interrupt: some trace
     (forward trace, for compensable terms) ends in tick or throw."""
     if isinstance(term, CompensableTerm):
-        return any(
-            tp.forward.terminal is not _YIELD for tp in traces_compensable(term)
-        )
-    return any(t.terminal is not _YIELD for t in traces_standard(term))
+        return any(forward[1] is not _YIELD for forward, _ in _traces(term))
+    return any(t[1] is not _YIELD for t in _traces(term))
 
 
 def forget(term: StandardTerm | CompensableTerm) -> None:
     """Drop the term's own memoized trace set, not its subterms'."""
-    _T_STD.pop(term, None)
-    _T_COMP.pop(term, None)
+    _TRACES.pop(term, None)
 
 
 def clear_caches() -> None:
     """Drop all memoized trace sets (used by tests and long campaigns)."""
-    _T_STD.clear()
-    _T_COMP.clear()
+    _TRACES.clear()
     _SHUFFLES.clear()
 
 
 def cache_size() -> int:
-    return len(_T_STD) + len(_T_COMP) + len(_SHUFFLES)
+    return len(_TRACES) + len(_SHUFFLES)

@@ -165,10 +165,18 @@ LAWS: dict[int, tuple[str, tuple[str, ...], object]] = {
 }
 
 
+def _integer(value, name: str, floor: int | None = None) -> int:
+    """`value` as an int; a `TypeError` for a bool or non-integer, a `ValueError` below `floor`."""
+    if isinstance(value, bool):  # `index` takes True as 1
+        raise TypeError(f"{name} must be an integer, not {value!r}")
+    value = index(value)
+    if floor is not None and value < floor:
+        raise ValueError(f"{name} must be {'nonnegative' if floor == 0 else f'at least {floor}'}")
+    return value
+
+
 def _law(lemma: int) -> tuple:
-    if isinstance(lemma, bool):  # `index` takes True as 1
-        raise TypeError(f"a law id must be an integer, not {lemma!r}")
-    if index(lemma) not in LAWS:  # 1.0 and "1" are a TypeError
+    if _integer(lemma, "a law id") not in LAWS:
         raise ValueError(f"no such law: {lemma}")
     return LAWS[lemma]
 
@@ -208,9 +216,8 @@ class GenConfig:
     kind: str  # "std" | "comp"
 
     def __post_init__(self):
-        index(self.seed)  # an integer, as `--seed` is: 2.5 and "7" are a TypeError
-        if index(self.max_depth) < 1:
-            raise ValueError("max_depth must be at least 1")
+        _integer(self.seed, "seed")  # an integer, as `--seed` is
+        _integer(self.max_depth, "max_depth", 1)
         check_alphabet(self.alphabet)
         if self.kind not in ("std", "comp"):
             raise ValueError(f"unknown kind: {self.kind!r}")
@@ -309,16 +316,13 @@ def enumerate_terms(
     Operator counting follows `term_op_count`: compensation pairs are free
     and their operands' operators count toward the budget.
     `max_pair_operand_ops` additionally caps the operator count of each
-    pair operand (useful to keep compensable enumeration finite-friendly);
-    a negative cap is a `ValueError`, like a negative `max_ops`, and a
-    non-integer one a `TypeError`.
-    The alphabet is checked by `check_alphabet`: an empty one, an invalid
-    name or a repeated event is a `ValueError`.
+    pair operand (useful to keep compensable enumeration finite-friendly).
+    A negative count is a `ValueError`, and a bool or a non-integer one a
+    `TypeError`.  The alphabet is checked by `check_alphabet`.
     """
-    if max_ops < 0:
-        raise ValueError("max_ops must be nonnegative")
-    if max_pair_operand_ops is not None and index(max_pair_operand_ops) < 0:
-        raise ValueError("max_pair_operand_ops must be nonnegative")
+    _integer(max_ops, "max_ops", 0)
+    if max_pair_operand_ops is not None:
+        _integer(max_pair_operand_ops, "max_pair_operand_ops", 0)
     if kind not in ("std", "comp"):
         raise ValueError(f"unknown kind: {kind!r}")
     world = _EnumWorld(check_alphabet(alphabet), max_pair_operand_ops)
@@ -414,8 +418,7 @@ def run_prop_campaign(
     `cases`, or any argument `GenConfig` refuses, is a `ValueError` at the
     first `next()`, before any case.
     """
-    if cases < 0:
-        raise ValueError("cases must be nonnegative")
+    _integer(cases, "cases", 0)
     kinds = ("std", "comp") if kind == "both" else (kind,)
     recipes = [GenConfig(seed, max_depth, alphabet, k) for k in kinds]  # checks every argument
     rng = random.Random(seed)
@@ -444,8 +447,7 @@ def run_lemma_suite(
 ) -> LemmaSuiteResult:
     """Check one law on `cases` seeded operand tuples; its arguments are
     checked before the first case, as `run_prop_campaign` checks them."""
-    if cases < 0:
-        raise ValueError("cases must be nonnegative")
+    _integer(cases, "cases", 0)
     name, kinds, _ = _law(lemma)
     recipes = [GenConfig(seed, max_depth, alphabet, k) for k in kinds]  # checks every argument
     result = LemmaSuiteResult(lemma, name)

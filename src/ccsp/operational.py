@@ -45,6 +45,7 @@ from .terms import (
     Trace,
     TracePair,
     Yield,
+    check_kind,
     pretty_print,
     unchecked_trace,
 )
@@ -95,44 +96,41 @@ def step(term: StandardTerm | CompensableTerm) -> tuple[Step, ...]:
         case Yield():
             out[_YIELD, NULL] = None
             out[_TICK, NULL] = None
-        case Seq(l, r):
+        case Seq(l, r) | Interrupt(l, r):
+            # Control passes to the second process when the first ends in
+            # the hand-off terminal, tick for `;` and throw for `|>`: one
+            # step of the second happens in the same transition, dropping
+            # the node.  Any other terminal ends the composition.
+            node = type(term)
+            handoff = _TICK if node is Seq else _THROW
             for label, succ in step(l):
                 if isinstance(label, str):
-                    out[label, Seq(succ, r)] = None
-                elif label is _TICK:
-                    # The first process is done; one step of the second
-                    # happens in the same transition, dropping the Seq node.
+                    out[label, node(succ, r)] = None
+                elif label is handoff:
                     out.update(dict.fromkeys(step(r)))
                 else:
                     out[label, NULL] = None
         case Choice(l, r) | CChoice(l, r):
             out.update(dict.fromkeys(step(l)))
             out.update(dict.fromkeys(step(r)))
-        case Par(l, r):
+        case Par(l, r) | CPar(l, r):
+            node = type(term)
             lsteps = step(l)
             rsteps = step(r)
             for label, succ in lsteps:
                 if isinstance(label, str):
-                    out[label, Par(succ, r)] = None
+                    out[label, node(succ, r)] = None
             for label, succ in rsteps:
                 if isinstance(label, str):
-                    out[label, Par(l, succ)] = None
+                    out[label, node(l, succ)] = None
             # Termination is synchronised: both sides finish at once and
-            # the terminals join.
-            for ll, _ in lsteps:
+            # the terminals join.  A compensable composition banks both
+            # sides' compensations, to run in parallel.
+            for ll, lsucc in lsteps:
                 if not isinstance(ll, str):
-                    for rl, _ in rsteps:
+                    for rl, rsucc in rsteps:
                         if not isinstance(rl, str):
-                            out[ll.join(rl), NULL] = None
-        case Interrupt(l, r):
-            for label, succ in step(l):
-                if isinstance(label, str):
-                    out[label, Interrupt(succ, r)] = None
-                elif label is _THROW:
-                    # Control passes to the handler on a throw.
-                    out.update(dict.fromkeys(step(r)))
-                else:
-                    out[label, NULL] = None
+                            out[ll.join(rl), NULL if node is Par else Par(lsucc, rsucc)] = None
         case Block(body):
             for label, succ in step(body):
                 if isinstance(label, str):
@@ -167,20 +165,6 @@ def step(term: StandardTerm | CompensableTerm) -> tuple[Step, ...]:
                             out[rlabel, Seq(rsucc, succ)] = None
                 else:
                     out[label, succ] = None
-        case CPar(l, r):
-            lsteps = step(l)
-            rsteps = step(r)
-            for label, succ in lsteps:
-                if isinstance(label, str):
-                    out[label, CPar(succ, r)] = None
-            for label, succ in rsteps:
-                if isinstance(label, str):
-                    out[label, CPar(l, succ)] = None
-            for ll, lsucc in lsteps:
-                if not isinstance(ll, str):
-                    for rl, rsucc in rsteps:
-                        if not isinstance(rl, str):
-                            out[ll.join(rl), Par(lsucc, rsucc)] = None
         case Aux(rest, stored):
             for label, succ in step(rest):
                 if isinstance(label, str):
@@ -198,13 +182,6 @@ def step(term: StandardTerm | CompensableTerm) -> tuple[Step, ...]:
     return steps
 
 
-def _check_kind(term, kind: type) -> None:
-    """One relation steps both kinds, so each exploration checks at its
-    start that it was given the kind it explores."""
-    if not isinstance(term, kind):
-        raise TypeError(f"not a {kind._noun} term: {term!r}")
-
-
 # ---------------------------------------------------------------------------
 # Lifted runs and derived traces
 # ---------------------------------------------------------------------------
@@ -215,9 +192,7 @@ def run_lifted(term: StandardTerm, t: Trace) -> bool:
     or any ``(events, terminal)`` pair (anything else is a `TypeError`)?
     Follows the trace with the set of states reached after each event, so a
     long trace costs no interpreter frames."""
-    if isinstance(term, Null):
-        raise ValueError("the null process has no runs")
-    _check_kind(term, StandardTerm)
+    check_kind(term, StandardTerm)
     events, terminal = Trace(*t)
     states = {term}
     for event in events:
@@ -247,9 +222,6 @@ def _runs(term: StandardTerm | CompensableTerm, budget: _Budget) -> frozenset:
     the stack is computed once every event successor is in `_RUNS`, which
     ends because every successor is lighter."""
     runs = _RUNS
-    hit = runs.get(term)
-    if hit is not None:
-        return hit
     stack = [term]
     while stack:
         state = stack[-1]
@@ -286,22 +258,20 @@ def _runs(term: StandardTerm | CompensableTerm, budget: _Budget) -> frozenset:
 
 def derived_traces_standard(term: StandardTerm) -> frozenset[Trace]:
     """The labels of all maximal runs of a standard term."""
-    if isinstance(term, Null):
-        raise ValueError("the null process has no derived traces")
-    _check_kind(term, StandardTerm)
+    check_kind(term, StandardTerm)
     return _runs(term, _Budget())
 
 
 def derived_forward(term: CompensableTerm) -> frozenset[tuple[Trace, StandardTerm]]:
     """All (forward trace, banked compensation) outcomes of a compensable
     term's forward runs."""
-    _check_kind(term, CompensableTerm)
+    check_kind(term, CompensableTerm)
     return _runs(term, _Budget())
 
 
 def derived_traces_compensable(term: CompensableTerm) -> frozenset[TracePair]:
     """Forward runs continued through their banked compensations."""
-    _check_kind(term, CompensableTerm)
+    check_kind(term, CompensableTerm)
     budget = _Budget()
     return frozenset(
         TracePair(t, t2)
@@ -355,10 +325,6 @@ def _step_key(item: Step):
     return (0, label.value, "", pretty_print(succ))
 
 
-def _canonical_steps(node: LtsNode) -> list[Step]:
-    return [] if isinstance(node, Null) else sorted(step(node), key=_step_key)
-
-
 def build_lts(term: LtsNode) -> Lts:
     """Explore the full reachable graph under `step`.
 
@@ -369,8 +335,7 @@ def build_lts(term: LtsNode) -> Lts:
     compensation runs as well.  A graph of more than `STATE_CAP` nodes
     raises `StateCapExceeded`.
     """
-    if isinstance(term, Null):
-        raise ValueError("the null process is not a valid root")
+    step(term)  # refuses the null process and non-terms, as every exploration does
     budget = _Budget()
     budget.spend()
     nodes: list[LtsNode] = [term]
@@ -379,7 +344,9 @@ def build_lts(term: LtsNode) -> Lts:
     queue = deque([term])
     while queue:
         node = queue.popleft()
-        for label, succ in _canonical_steps(node):
+        if isinstance(node, Null):
+            continue
+        for label, succ in sorted(step(node), key=_step_key):
             if succ not in seen:
                 budget.spend()
                 seen.add(succ)

@@ -21,8 +21,8 @@ constants desugar at parse time: SKIPP, YIELDD and THROWW become
 compensation pairs over SKIP.
 
 Brackets, `(` and `[` together, nest at most `MAX_NESTING` deep, and a
-parsed term is at most `MAX_DEPTH` constructors deep; deeper input raises
-`ParseError` rather than exhausting the interpreter's stack.
+term is at most `ccsp.terms.MAX_DEPTH` constructors deep; deeper input
+raises `ParseError` rather than exhausting the interpreter's stack.
 """
 from __future__ import annotations
 
@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from .terms import (
     BINARY_OPERATORS,
     COMPENSABLE_KEYWORDS,
+    MAX_DEPTH,
     Atom,
     Block,
     CompensableTerm,
@@ -39,7 +40,6 @@ from .terms import (
     STANDARD_KEYWORDS,
     StandardTerm,
     WORD,
-    term_depth,
 )
 
 #: For the standard and the compensable grammar: operator symbol ->
@@ -57,11 +57,6 @@ _OPERATORS = (*(op for op, *_ in BINARY_OPERATORS), "%", "(", ")", "[", "]")
 #: lead up to the bracket (656 frames at this limit), so this keeps below
 #: Python's default recursion limit of 1000.
 MAX_NESTING = 100
-
-#: Deepest accepted term, as `term_depth` measures it.  Both semantics
-#: recurse about a frame per level and ran out at depth 985-991 (Python's
-#: default limit is 1000 frames), so this leaves as many again to callers.
-MAX_DEPTH = 500
 
 
 @dataclass
@@ -215,22 +210,24 @@ class _Parser:
         return Pair(forward, self.atom())
 
 
-def _finish(p: _Parser, term):
+def _parse(text: str, compensable: bool) -> StandardTerm | CompensableTerm:
+    if not isinstance(text, str):
+        raise TypeError(f"not a text: {text!r}")
+    p = _Parser(text)
+    try:
+        term = p.binary(compensable)
+    except ValueError:  # the constructors' one refusal here: a node too deep
+        raise ParseError(0, f"a term at most {MAX_DEPTH} deep", f"depth {MAX_DEPTH + 1}") from None
     if p.peek().kind != "end":
         p.fail("end of input")
-    depth = term_depth(term)
-    if depth > MAX_DEPTH:
-        raise ParseError(0, f"a term at most {MAX_DEPTH} deep", f"depth {depth}")
     return term
 
 
 def parse_standard(text: str) -> StandardTerm:
     """Parse a standard process term, consuming the whole input."""
-    p = _Parser(text)
-    return _finish(p, p.binary(False))
+    return _parse(text, False)
 
 
 def parse_compensable(text: str) -> CompensableTerm:
     """Parse a compensable process term, consuming the whole input."""
-    p = _Parser(text)
-    return _finish(p, p.binary(True))
+    return _parse(text, True)

@@ -18,7 +18,8 @@ the entry, unless a newer reference has taken its place; so a pool holds
 only live terms, and a term rebuilt after its death is again the one
 instance.  Interning also sizes the term: its operator count, weight and
 depth are its class's share plus its operands' (already computed) sizes,
-so `term_op_count`, `term_weight` and `term_depth` are attribute reads.
+so `term_op_count`, `term_weight` and `term_depth` are attribute reads.  A
+node deeper than `MAX_DEPTH` is refused before it is built (`ValueError`).
 """
 from __future__ import annotations
 
@@ -78,13 +79,23 @@ def is_event_name(name: str) -> bool:
     return bool(WORD.fullmatch(name)) and name not in RESERVED_WORDS
 
 
-def check_alphabet(alphabet: Iterable[Event]) -> tuple[Event, ...]:
-    """The declared alphabet as a tuple, checked as every term source checks
-    it: at least one event, valid names, each event once (`ValueError`)."""
-    names = tuple(alphabet)
+def _event_names(names: Iterable[Event]) -> tuple[Event, ...]:
+    """`names` as a tuple, each a valid event name (`ValueError`); a string is
+    a `TypeError`, as its letters are not the names meant."""
+    if isinstance(names, str):
+        raise TypeError(f"events must be a sequence of names, not a string: {names!r}")
+    names = tuple(names)
     for name in names:
         if not is_event_name(name):
             raise ValueError(f"invalid event name: {name!r}")
+    return names
+
+
+def check_alphabet(alphabet: Iterable[Event]) -> tuple[Event, ...]:
+    """The declared alphabet as a tuple, checked as every term source checks
+    it: a sequence of valid event names, not a string, with at least one
+    event, each once (a `ValueError`; a string is a `TypeError`)."""
+    names = _event_names(alphabet)
     if not names:
         raise ValueError("alphabet must list at least one event")
     if len(set(names)) < len(names):
@@ -103,6 +114,7 @@ class _Node:
     field is an operand term, except `Atom`'s event name."""
 
     __slots__ = ("_weight", "_ops", "_depth", "_pp", "__weakref__")
+    _noun = "process"
     _fields: tuple[str, ...] = ()
     _pool: dict
 
@@ -110,8 +122,20 @@ class _Node:
         raise AttributeError("process terms are immutable")
 
     def __repr__(self) -> str:
-        inner = ", ".join(repr(getattr(self, n)) for n in self._fields)
-        return f"{type(self).__name__}({inner})"
+        # A stack of nodes and finished text, as in `_render`.
+        parts: list[str] = []
+        todo: list = [self]
+        while todo:
+            item = todo.pop()
+            if isinstance(item, str):
+                parts.append(item)
+                continue
+            layout = [f"{type(item).__name__}("]
+            for i, name in enumerate(item._fields):
+                value = getattr(item, name)
+                layout += [", "] * (i > 0) + [value if isinstance(value, _Node) else repr(value)]
+            todo += reversed(layout + [")"])
+        return "".join(parts)
 
 
 class StandardTerm(_Node):
@@ -122,6 +146,17 @@ class StandardTerm(_Node):
 class CompensableTerm(_Node):
     __slots__ = ()
     _noun = "compensable"
+
+
+def check_kind(term, kind: type) -> None:
+    """Refuse anything but a term of `kind` (`_Node`: any term) with a `TypeError`."""
+    if not isinstance(term, kind):
+        raise TypeError(f"not a {kind._noun} term: {term!r}")
+
+
+#: Deepest term that can be built (`term_depth`).  No step deepens a term, so
+#: both semantics recurse at most this many frames, half Python's default limit.
+MAX_DEPTH = 500
 
 
 class _PoolRef(weakref.ref):
@@ -158,7 +193,10 @@ def _constructor(cls, weight: int, ops: int, event: bool, kinds: tuple[type, ...
         if get(ref.key) is ref:
             del pool[ref.key]
 
-    def intern(inst, key):
+    def intern(inst, key, total_weight, total_ops, depth):
+        set_weight(inst, total_weight)
+        set_ops(inst, total_ops)
+        set_depth(inst, depth)
         ref = _PoolRef(inst, remove)
         ref.key = key
         pool[key] = ref
@@ -167,6 +205,9 @@ def _constructor(cls, weight: int, ops: int, event: bool, kinds: tuple[type, ...
     def operand_error(field, operand, kind):
         noun = kind._noun if isinstance(operand, _Node) else "process"
         return TypeError(f"{cls.__name__}.{field} is not a {noun} term")
+
+    def depth_error():
+        return ValueError(f"a term is at most {MAX_DEPTH} deep; this {cls.__name__} is deeper")
 
     if len(fields) == 2:
         set_first, set_second = setters
@@ -187,14 +228,15 @@ def _constructor(cls, weight: int, ops: int, event: bool, kinds: tuple[type, ...
                 raise operand_error(fields[0], first, first_kind)
             if not isinstance(second, second_kind):
                 raise operand_error(fields[1], second, second_kind)
+            fd, sd = first._depth, second._depth
+            depth = 1 + (fd if fd > sd else sd)
+            if depth > MAX_DEPTH:
+                raise depth_error()
             inst = new(cls)
             set_first(inst, first)
             set_second(inst, second)
-            set_weight(inst, weight + first._weight + second._weight)
-            set_ops(inst, ops + first._ops + second._ops)
-            fd, sd = first._depth, second._depth
-            set_depth(inst, 1 + (fd if fd > sd else sd))
-            return intern(inst, key)
+            return intern(inst, key, weight + first._weight + second._weight,
+                          ops + first._ops + second._ops, depth)
 
         return binary
 
@@ -213,19 +255,16 @@ def _constructor(cls, weight: int, ops: int, event: bool, kinds: tuple[type, ...
             if operand is _ABSENT:
                 raise _arity_error(cls, ())
             if event:
-                if not is_event_name(operand):
-                    raise ValueError(f"invalid event name: {operand!r}")
-                set_weight(inst := new(cls), weight)
-                set_ops(inst, ops)
-                set_depth(inst, 1)
+                _event_names((operand,))
+                sizes = weight, ops, 1
             elif isinstance(operand, kind):
-                set_weight(inst := new(cls), weight + operand._weight)
-                set_ops(inst, ops + operand._ops)
-                set_depth(inst, 1 + operand._depth)
+                if operand._depth >= MAX_DEPTH:
+                    raise depth_error()
+                sizes = weight + operand._weight, ops + operand._ops, 1 + operand._depth
             else:
                 raise operand_error(fields[0], operand, kind)
-            set_operand(inst, operand)
-            return intern(inst, operand)
+            set_operand(inst := new(cls), operand)
+            return intern(inst, operand, *sizes)
 
         return unary
 
@@ -237,11 +276,7 @@ def _constructor(cls, weight: int, ops: int, event: bool, kinds: tuple[type, ...
             inst = ref()
             if inst is not None:
                 return inst
-        inst = new(cls)
-        set_weight(inst, weight)
-        set_ops(inst, ops)
-        set_depth(inst, 1)
-        return intern(inst, ())
+        return intern(new(cls), (), weight, ops, 1)
 
     return nullary
 
@@ -380,21 +415,18 @@ COMPENSABLE_KEYWORDS = {
 RESERVED_WORDS = frozenset(STANDARD_KEYWORDS.keys() | COMPENSABLE_KEYWORDS.keys())
 
 
-def _operands(term: _Node) -> list[_Node]:
-    fields = (getattr(term, name) for name in term._fields)
-    return [f for f in fields if isinstance(f, _Node)]
-
-
 def subterms(term: StandardTerm | CompensableTerm) -> Iterator[StandardTerm | CompensableTerm]:
     """Yield `term` and every nested subterm, preorder."""
     stack = [term]
     while stack:
         t = stack.pop()
-        if not isinstance(t, _Node):
-            raise TypeError(f"not a process term: {t!r}")
+        check_kind(t, _Node)
         yield t
         # Push the operands right to left so the leftmost comes out first.
-        stack.extend(reversed(_operands(t)))
+        for name in reversed(t._fields):
+            operand = getattr(t, name)
+            if isinstance(operand, _Node):
+                stack.append(operand)
 
 
 def term_op_count(term: StandardTerm | CompensableTerm) -> int:
@@ -405,29 +437,23 @@ def term_op_count(term: StandardTerm | CompensableTerm) -> int:
     minimal way to form a compensable term, not an extra operator).  Fixed
     at interning.
     """
-    try:
-        return term._ops
-    except AttributeError:
-        raise TypeError(f"not a process term: {term!r}") from None
+    check_kind(term, _Node)
+    return term._ops
 
 
 def term_weight(term: StandardTerm | CompensableTerm) -> int:
     """Well-founded size measure that strictly decreases on every
     transition, which is what makes exhaustive exploration terminate.
     Fixed at interning."""
-    try:
-        return term._weight
-    except AttributeError:
-        raise TypeError(f"not a process term: {term!r}") from None
+    check_kind(term, _Node)
+    return term._weight
 
 
 def term_depth(term: StandardTerm | CompensableTerm) -> int:
     """Nesting depth counting every constructor, leaves = 1.  Fixed at
     interning."""
-    try:
-        return term._depth
-    except AttributeError:
-        raise TypeError(f"not a process term: {term!r}") from None
+    check_kind(term, _Node)
+    return term._depth
 
 
 def validate_user_term(
@@ -437,10 +463,11 @@ def validate_user_term(
 
     Returns a list of violation descriptions (empty when valid).  Null and
     the runtime-only auxiliary construct are forbidden; when an alphabet is
-    declared, every atom must draw from it.
+    declared, it is checked by `check_alphabet` and every atom must draw
+    from it.
     """
     violations = []
-    declared = frozenset(alphabet) if alphabet is not None else None
+    declared = frozenset(check_alphabet(alphabet)) if alphabet is not None else None
     for sub in subterms(term):
         if isinstance(sub, Null):
             violations.append("null process is not a user term")
@@ -515,8 +542,7 @@ _SYNTAX: dict[type, tuple[int, tuple]] = {
 def _render(term: StandardTerm | CompensableTerm) -> str:
     # A stack of (term or text, minimum level) instead of recursion, so a
     # long `;` chain cannot run out of interpreter frames.
-    if not isinstance(term, _Node):
-        raise TypeError(f"not a process term: {term!r}")
+    check_kind(term, _Node)
     parts: list[str] = []
     todo: list = [(term, 0)]
     while todo:
@@ -575,13 +601,7 @@ class Trace(_Observation):
     def __new__(cls, events: Iterable[Event], terminal: Terminal):
         if not isinstance(terminal, Terminal):
             raise TypeError(f"not a terminal: {terminal!r}")
-        if isinstance(events, str):
-            raise TypeError(f"trace events must be a sequence of names, not a string: {events!r}")
-        events = tuple(events)
-        for name in events:
-            if not is_event_name(name):
-                raise ValueError(f"invalid event name: {name!r}")
-        return tuple.__new__(cls, (events, terminal))
+        return tuple.__new__(cls, (_event_names(events), terminal))
 
     events = property(itemgetter(0), doc="The normal events, a tuple of names.")
     terminal = property(itemgetter(1), doc="The `Terminal` that ends the trace.")
@@ -641,12 +661,3 @@ def trace(*parts: str) -> Trace:
 #: Sort key for canonical order of traces and trace pairs; sorting with it
 #: builds each member's key once, where `__lt__` builds two per comparison.
 by_sort_key = attrgetter("sort_key")
-
-
-def trace_tokens(t: Trace) -> list[str]:
-    """Machine form of a trace: event tokens followed by the terminal glyph."""
-    return [*t.events, t.terminal.glyph]
-
-
-def pair_tokens(p: TracePair) -> list[list[str]]:
-    return [trace_tokens(p.forward), trace_tokens(p.compensation)]

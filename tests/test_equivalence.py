@@ -492,10 +492,7 @@ def test_check_terms_matches_the_direct_checks():
         assert healthy == denotational.check_healthiness(term)
 
 
-_MEMO_TABLES = (
-    operational._STEPS, operational._RUNS,
-    denotational._T_STD, denotational._T_COMP,
-)
+_MEMO_TABLES = (operational._STEPS, operational._RUNS, denotational._TRACES)
 
 
 def test_check_terms_forgets_each_checked_term_and_its_block_body():

@@ -1,4 +1,5 @@
 import re
+from functools import reduce
 
 import pytest
 from hypothesis import given, strategies as st
@@ -24,7 +25,10 @@ from ccsp.terms import (
     Atom,
     Aux,
     Block,
+    CPar,
     CSeq,
+    Interrupt,
+    MAX_DEPTH,
     Null,
     Pair,
     Par,
@@ -33,6 +37,7 @@ from ccsp.terms import (
     Trace,
     StandardTerm,
     TracePair,
+    term_depth,
     trace,
 )
 
@@ -110,6 +115,23 @@ def test_step_par_interleaves_without_lone_terminal():
 def test_step_par_joint_termination_joins_terminals():
     assert step(Par(SKIP, THROW)) == ((Terminal.THROW, NULL),)
     assert set(step(Par(YIELD, YIELD))) == {(Terminal.TICK, NULL), (Terminal.YIELD, NULL)}
+
+
+def test_step_interrupt_hands_off_on_a_throw():
+    # An event keeps the handler; a throw starts it, and its first step
+    # happens in the same transition.
+    assert step(Interrupt(A, B)) == (("a", Interrupt(SKIP, B)),)
+    assert step(Interrupt(THROW, B)) == (("b", SKIP),)
+    # Any other terminal passes through, and the handler never runs.
+    assert step(Interrupt(SKIP, B)) == ((Terminal.TICK, NULL),)
+    assert set(step(Interrupt(YIELD, B))) == {(Terminal.TICK, NULL), (Terminal.YIELD, NULL)}
+
+
+def test_step_cpar_joint_termination_banks_both_compensations():
+    left, right = Pair(SKIP, A), Pair(THROW, B)
+    # Success banks the left compensation; the throw banks none (SKIP).
+    assert step(CPar(left, right)) == ((Terminal.THROW, Par(A, SKIP)),)
+    assert step(CPar(Pair(A, B), left)) == (("a", CPar(Pair(SKIP, B), left)),)
 
 
 def test_step_block_absorbs_throw_and_runs_compensation():
@@ -353,3 +375,31 @@ def test_derived_healthiness(seed):
     term = gen_term(GenConfig(seed=seed, max_depth=4, alphabet=("a", "b"), kind="std"))
     terminals = {t.terminal for t in derived_traces_standard(term)}
     assert terminals & {Terminal.TICK, Terminal.THROW}
+
+
+@given(_seeds, st.sampled_from(["std", "comp"]))
+def test_no_step_makes_a_term_deeper(seed, kind):
+    # So `MAX_DEPTH`, checked at construction, bounds every state's depth.
+    term = gen_term(GenConfig(seed=seed, max_depth=4, alphabet=("a", "b"), kind=kind))
+    for src, _, dst in build_lts(term).edges:
+        assert term_depth(dst) <= term_depth(src)
+
+
+_DEEPEST = {
+    "left-seq": reduce(Seq, [A] * MAX_DEPTH),
+    "right-seq": reduce(lambda r, l: Seq(l, r), [A] * MAX_DEPTH),
+    "par": reduce(Par, [SKIP] * MAX_DEPTH),
+    "cseq": reduce(CSeq, [Pair(A, B)] * (MAX_DEPTH - 1)),
+}
+
+
+@pytest.mark.parametrize("term", _DEEPEST.values(), ids=_DEEPEST)
+def test_the_deepest_terms_get_verdicts(term):
+    assert term_depth(term) == MAX_DEPTH
+    check = check_compensable if isinstance(term, CSeq) else check_standard
+    assert check(term).is_equal
+    assert build_lts(term).nodes[0] is term
+    # A refusal names the term, so its `repr` must not recurse either.
+    other = traces_standard if check is check_compensable else traces_compensable
+    with pytest.raises(TypeError, match="^not a "):
+        other(term)

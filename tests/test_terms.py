@@ -14,6 +14,7 @@ from ccsp.terms import (
     NULL,
     SKIP,
     THROW,
+    MAX_DEPTH,
     Atom,
     Aux,
     Block,
@@ -26,13 +27,11 @@ from ccsp.terms import (
     TracePair,
     by_sort_key,
     is_event_name,
-    pair_tokens,
     pretty_print,
     term_depth,
     term_op_count,
     term_weight,
     trace,
-    trace_tokens,
     validate_user_term,
 )
 
@@ -215,12 +214,29 @@ def test_counts_and_measures():
 
 
 def test_measures_of_a_long_chain():
-    # Built by hand: the parser refuses terms deeper than `MAX_DEPTH`.
-    chain = reduce(Seq, [A] * 5000)
-    assert term_depth(chain) == 5000
-    assert term_op_count(chain) == 4999
-    assert term_weight(chain) == 5000 * 2 + 4999
-    assert pretty_print(chain) == " ; ".join(["a"] * 5000)
+    # Built by hand, as deep as the constructors allow.
+    chain = reduce(Seq, [A] * MAX_DEPTH)
+    assert term_depth(chain) == MAX_DEPTH
+    assert term_op_count(chain) == MAX_DEPTH - 1
+    assert term_weight(chain) == MAX_DEPTH * 2 + MAX_DEPTH - 1
+    assert pretty_print(chain) == " ; ".join(["a"] * MAX_DEPTH)
+    # `repr` walks a stack too, so the deepest term has one.
+    assert repr(chain) == "Seq(" * (MAX_DEPTH - 1) + "Atom('a')" + ", Atom('a'))" * (MAX_DEPTH - 1)
+
+
+def test_constructors_refuse_a_node_deeper_than_max_depth():
+    chain = reduce(Seq, [A] * MAX_DEPTH)
+    pairs = reduce(CSeq, [Pair(A, B)] * (MAX_DEPTH - 1))
+    assert term_depth(pairs) == MAX_DEPTH
+    for build in (
+        lambda: Seq(chain, A),
+        lambda: Par(A, chain),
+        lambda: Block(pairs),
+        lambda: Pair(SKIP, chain),
+        lambda: reduce(Seq, [A] * 5000),
+    ):
+        with pytest.raises(ValueError, match=f"^a term is at most {MAX_DEPTH} deep; this "):
+            build()
 
 
 def test_measures_reject_non_terms():
@@ -274,11 +290,9 @@ def test_generator_is_deterministic(cfg):
 
 
 def test_trace_token_round_trip():
+    # The machine format writes a trace as its events, then its glyph.
     t = trace("a", "b", "?")
-    assert trace_tokens(t) == ["a", "b", "?"]
-    assert trace(*trace_tokens(t)) == t
-    p = TracePair(trace("a", "!"), trace("*"))
-    assert TracePair(*(trace(*tokens) for tokens in pair_tokens(p))) == p
+    assert trace(*t.events, t.terminal.glyph) == t
     with pytest.raises(ValueError, match="not a terminal glyph: 'b'"):
         trace("a", "b")  # missing terminal glyph
     with pytest.raises(ValueError):
