@@ -41,11 +41,12 @@ from .operational import (
 from .parser import ParseError, parse_compensable, parse_standard
 from .terms import (
     CompensableTerm,
-    Trace,
     by_sort_key,
     check_alphabet,
+    pair_tokens,
     pretty_print,
     term_op_count,
+    trace_tokens,
     validate_user_term,
 )
 
@@ -80,16 +81,9 @@ _COUNT = _int_at_least(0)
 _POSITIVE = _int_at_least(1)
 
 
-def _tokens(observation) -> list:
-    """The machine form of a trace, its events and then its terminal's
-    glyph, or of a trace pair, one such list per trace."""
-    if isinstance(observation, Trace):
-        return [*observation.events, observation.terminal.glyph]
-    return [_tokens(t) for t in observation]
-
-
-def _set_tokens(traces) -> list:
-    return [_tokens(t) for t in sorted(traces, key=by_sort_key)]
+def _set_tokens(traces, kind: str) -> list:
+    tokens = trace_tokens if kind == "std" else pair_tokens
+    return [tokens(t) for t in sorted(traces, key=by_sort_key)]
 
 
 def _print_set(traces) -> None:
@@ -239,7 +233,7 @@ def _cmd_traces(args) -> int:
             "command": "traces",
             "term": pretty_print(term),
             "kind": args.kind,
-            "sets": {name: _set_tokens(s) for name, s in sets.items()},
+            "sets": {name: _set_tokens(s, args.kind) for name, s in sets.items()},
         }
         print(json.dumps(record, sort_keys=True))
         return 0
@@ -256,8 +250,8 @@ def _verdict_record(term_text: str, kind: str, verdict: Verdict) -> dict:
         "term": term_text,
         "kind": kind,
         "status": verdict.status,
-        "only_operational": _set_tokens(verdict.only_operational),
-        "only_denotational": _set_tokens(verdict.only_denotational),
+        "only_operational": _set_tokens(verdict.only_operational, kind),
+        "only_denotational": _set_tokens(verdict.only_denotational, kind),
     }
 
 

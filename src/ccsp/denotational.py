@@ -86,18 +86,16 @@ def sync_terminals(left: Terminal, right: Terminal) -> frozenset[Terminal]:
 def seq_traces(p: Trace, q: Trace) -> Trace:
     """Sequential composition on traces: continue with `q` only after a
     successful `p`, otherwise the observation is just `p`."""
-    events, terminal = p
+    (events, terminal), (more, end) = p, q
     if terminal is _TICK:
-        more, end = q
         return unchecked_trace((events + more, end))
     return p
 
 
 def interrupt_traces(p: Trace, q: Trace) -> Trace:
     """Interrupt handling on traces: `q` runs when `p` throws."""
-    events, terminal = p
+    (events, terminal), (more, end) = p, q
     if terminal is _THROW:
-        more, end = q
         return unchecked_trace((events + more, end))
     return p
 
@@ -145,11 +143,10 @@ def block_traces(p: Trace, compensation: Trace) -> frozenset[Trace]:
     on (hiding the interrupt), and a yielding forward trace contributes
     nothing.
     """
-    events, terminal = p
+    (events, terminal), (more, end) = p, compensation
     if terminal is _TICK:
         return frozenset((p,))
     if terminal is _THROW:
-        more, end = compensation
         return frozenset((unchecked_trace((events + more, end)),))
     return frozenset()
 

@@ -165,12 +165,10 @@ LAWS: dict[int, tuple[str, tuple[str, ...], object]] = {
 }
 
 
-def _integer(value, name: str, floor: int | None = None) -> int:
-    """`value` as an int; a `TypeError` for a bool or non-integer, a `ValueError` below `floor`."""
-    if isinstance(value, bool):  # `index` takes True as 1
+def _integer(value, name: str, floor: float = float("-inf")) -> int:
+    if isinstance(value, bool):  # `index` takes True as 1 (and refuses 1.0 and "1")
         raise TypeError(f"{name} must be an integer, not {value!r}")
-    value = index(value)
-    if floor is not None and value < floor:
+    if (value := index(value)) < floor:
         raise ValueError(f"{name} must be {'nonnegative' if floor == 0 else f'at least {floor}'}")
     return value
 

@@ -423,10 +423,8 @@ def subterms(term: StandardTerm | CompensableTerm) -> Iterator[StandardTerm | Co
         check_kind(t, _Node)
         yield t
         # Push the operands right to left so the leftmost comes out first.
-        for name in reversed(t._fields):
-            operand = getattr(t, name)
-            if isinstance(operand, _Node):
-                stack.append(operand)
+        operands = (getattr(t, name) for name in reversed(t._fields))
+        stack += [o for o in operands if isinstance(o, _Node)]
 
 
 def term_op_count(term: StandardTerm | CompensableTerm) -> int:
@@ -661,3 +659,16 @@ def trace(*parts: str) -> Trace:
 #: Sort key for canonical order of traces and trace pairs; sorting with it
 #: builds each member's key once, where `__lt__` builds two per comparison.
 by_sort_key = attrgetter("sort_key")
+
+
+def trace_tokens(t: Trace) -> list[str]:
+    """Machine form of a trace: event tokens followed by the terminal glyph."""
+    if not isinstance(t, Trace):
+        raise TypeError(f"not a trace: {t!r}")
+    return [*t.events, t.terminal.glyph]
+
+
+def pair_tokens(p: TracePair) -> list[list[str]]:
+    """Machine form of a trace pair, or of any pair of traces: one token list each."""
+    forward, compensation = p
+    return [trace_tokens(forward), trace_tokens(compensation)]

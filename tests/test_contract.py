@@ -103,6 +103,9 @@ _A = Atom("a")
         (lambda: ccsp.parse_standard(b"a"), TypeError, "not a text: b'a'"),
         (lambda: ccsp.sync_terminals(1, 2), TypeError, "not a terminal: 1"),
         (lambda: ccsp.sync_terminals(Terminal.TICK, None), TypeError, "not a terminal: None"),
+        (lambda: ccsp.terms.trace_tokens(("a", "*")), TypeError, "not a trace: ('a', '*')"),
+        (lambda: ccsp.terms.pair_tokens((trace("*"), "*")), TypeError, "not a trace: '*'"),
+        (lambda: ccsp.terms.pair_tokens(trace("*")), TypeError, "not a trace: ()"),
         (lambda: ccsp.seq_traces("", trace("*")), ValueError, "not enough values"),
         (lambda: ccsp.lift_par({trace("*")}, {"a"}), ValueError, "not enough values"),
         (lambda: ccsp.terms.check_alphabet("ab"), TypeError, "not a string: 'ab'"),

@@ -27,11 +27,13 @@ from ccsp.terms import (
     TracePair,
     by_sort_key,
     is_event_name,
+    pair_tokens,
     pretty_print,
     term_depth,
     term_op_count,
     term_weight,
     trace,
+    trace_tokens,
     validate_user_term,
 )
 
@@ -290,9 +292,11 @@ def test_generator_is_deterministic(cfg):
 
 
 def test_trace_token_round_trip():
-    # The machine format writes a trace as its events, then its glyph.
     t = trace("a", "b", "?")
-    assert trace(*t.events, t.terminal.glyph) == t
+    assert trace_tokens(t) == ["a", "b", "?"]
+    assert trace(*trace_tokens(t)) == t
+    p = TracePair(trace("a", "!"), trace("*"))
+    assert TracePair(*(trace(*tokens) for tokens in pair_tokens(p))) == p
     with pytest.raises(ValueError, match="not a terminal glyph: 'b'"):
         trace("a", "b")  # missing terminal glyph
     with pytest.raises(ValueError):
