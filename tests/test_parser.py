@@ -205,15 +205,22 @@ def test_parse_inverts_pretty_print(seed, depth, kind):
 
 GOLDEN = Path(__file__).parent / "data" / "parse_errors_golden.txt"
 
-#: Every one- and two-lexeme input over these, space-joined, is pinned.
+#: Every one- and two-lexeme input over these, space-joined and unspaced
+#: (`a;b`, `|||>`, `[]]`, `SKIPPa`, `a0`), is pinned.
 LEXEMES = ("a", "a'", ";", "[]", "||", "|>", "%", "(", ")", "[", "]",
            "SKIP", "YIELD", "SKIPP", "THROWW", "0", "$")
+
+#: `a ; b` with each kind of separator the tokenizer skips, and non-breaking
+#: and ideographic spaces, which are whitespace too.
+SPACED = ("a\t;\tb", "a\n;\nb", "a\r\n;\x0bb\x0c", "a\u00a0;\u00a0b", "a\u3000;\u3000b",
+          "\ta ; b\n")
 
 
 def golden_inputs() -> list[str]:
     texts = [*LEXEMES, *(f"{x} {y}" for x in LEXEMES for y in LEXEMES)]
-    texts += [text for text, _ in MALFORMED if text not in texts]
-    return texts
+    texts += [text for text, _ in MALFORMED]
+    texts += [f"{x}{y}" for x in LEXEMES for y in LEXEMES]
+    return list(dict.fromkeys([*texts, *SPACED]))
 
 
 def golden_lines() -> list[str]:
@@ -230,8 +237,9 @@ def golden_lines() -> list[str]:
 
 
 def test_parse_results_match_golden():
-    # Written by the parser before the operator table replaced its per-level
-    # methods.  Regenerate with:
+    # The space-joined lines were written by the parser before the operator
+    # table replaced its per-level methods, the unspaced and whitespace lines
+    # by the parser before its tokens came from one pattern.  Regenerate with:
     #   PYTHONPATH=src python3 -c "import tests.test_parser as t; t.write_golden()"
     assert golden_lines() == GOLDEN.read_text(encoding="utf-8").splitlines()
 
