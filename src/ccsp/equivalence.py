@@ -20,7 +20,7 @@ import functools
 import random
 from bisect import bisect
 from dataclasses import dataclass, field, replace
-from itertools import accumulate
+from itertools import accumulate, product, starmap
 from operator import index
 from typing import Iterable, Iterator
 
@@ -352,19 +352,14 @@ class _EnumWorld:
         if compensable:
             for i in range(k + 1):
                 if self.pair_cap is None or max(i, k - i) <= self.pair_cap:
-                    compensations = stored(False, k - i)
-                    for forward in stored(False, i):
-                        for compensation in compensations:
-                            yield Pair(forward, compensation)
+                    yield from starmap(Pair, product(stored(False, i), stored(False, k - i)))
         elif k == 0:
             yield from map(Atom, sorted(self.alphabet))
             yield from (SKIP, THROW, YIELD)
         for ctor in (CSeq, CChoice, CPar) if compensable else (Seq, Choice, Par, Interrupt):
             for i in range(k):
-                rights = stored(compensable, k - 1 - i)
-                for left in stored(compensable, i):
-                    for right in rights:
-                        yield ctor(left, right)
+                operands = stored(compensable, i), stored(compensable, k - 1 - i)
+                yield from starmap(ctor, product(*operands))
         if not compensable and k:
             yield from map(Block, self.exact(True, k - 1))
 

@@ -8,6 +8,10 @@ Grammar:
     comp  := pair (BINOP pair)*     (only operators with a compensable form)
     pair  := atom "%" atom | "SKIPP" | "THROWW" | "YIELDD" | "(" comp ")"
 
+Tokens come from one pattern: after any whitespace, a word
+(`ccsp.terms.WORD`; an identifier unless it is a keyword), an operator,
+or the end of the text; any other character is a `ParseError`.
+
 The binary operators, their binding order and their constructors are
 `ccsp.terms.BINARY_OPERATORS`, which the printer reads too.  One loop,
 `_Parser.binary`, parses both grammars: it reads an operand, then, while
@@ -26,6 +30,7 @@ raises `ParseError` rather than exhausting the interpreter's stack.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .terms import (
@@ -36,10 +41,10 @@ from .terms import (
     Block,
     CompensableTerm,
     Pair,
-    RESERVED_WORDS,
     STANDARD_KEYWORDS,
     StandardTerm,
     WORD,
+    is_event_name,
 )
 
 #: For the standard and the compensable grammar: operator symbol ->
@@ -51,6 +56,12 @@ _INFIX = tuple(
 
 # Binary operators first, so `[]` is read before `[`.
 _OPERATORS = (*(op for op, *_ in BINARY_OPERATORS), "%", "(", ")", "[", "]")
+
+#: One token after any whitespace: a word, an operator, or the end (group 1),
+#: else a character that starts no token (group 2).
+_TOKEN = re.compile(
+    rf"\s*(?:({WORD.pattern}|{'|'.join(map(re.escape, _OPERATORS))}|\Z)|(\S))"
+)
 
 #: Deepest accepted nesting of `(` and `[`.  Each level costs the parser two
 #: stack frames, and up to seven when operators of rising binding strength
@@ -71,38 +82,13 @@ class ParseError(Exception):
         return f"at offset {self.position}: expected {self.expected}, found {self.found}"
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "ident", "keyword", "op", "end"
-    text: str
-    pos: int
-
-
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple[str, int]]:
+    """The `(text, offset)` pairs of the tokens, ending in `("", len(text))`."""
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        word = WORD.match(text, i)
-        if word:
-            kind = "keyword" if word[0] in RESERVED_WORDS else "ident"
-            tokens.append(_Token(kind, word[0], i))
-            i = word.end()
-            continue
-        matched = False
-        for op in _OPERATORS:
-            if text.startswith(op, i):
-                tokens.append(_Token("op", op, i))
-                i += len(op)
-                matched = True
-                break
-        if not matched:
-            raise ParseError(i, "an operator or identifier", repr(c))
-    tokens.append(_Token("end", "", n))
+    for match in _TOKEN.finditer(text):
+        if match[2]:
+            raise ParseError(match.start(2), "an operator or identifier", repr(match[2]))
+        tokens.append((match[1], match.start(1)))
     return tokens
 
 
@@ -116,20 +102,14 @@ class _Parser:
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self) -> _Token:
-        return self.tokens[self.index]
+    def peek(self) -> str:
+        return self.tokens[self.index][0]
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.index]
+    def advance(self) -> None:
         self.index += 1
-        return tok
-
-    def at_op(self, op: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "op" and tok.text == op
 
     def expect_op(self, op: str) -> None:
-        if not self.at_op(op):
+        if self.peek() != op:
             self.fail(f"'{op}'")
         self.advance()
 
@@ -145,9 +125,8 @@ class _Parser:
         self.depth -= 1
 
     def fail(self, expected: str) -> None:
-        tok = self.peek()
-        found = repr(tok.text) if tok.kind != "end" else "end of input"
-        raise ParseError(tok.pos, expected, found)
+        text, offset = self.tokens[self.index]
+        raise ParseError(offset, expected, repr(text) if text else "end of input")
 
     # -- grammar -----------------------------------------------------------
 
@@ -155,28 +134,28 @@ class _Parser:
         """Operands joined by the grammar's operators of at least `min_level`."""
         left = self.pair() if compensable else self.atom()
         infix = _INFIX[compensable]
-        while (op := infix.get(self.peek().text)) and op[0] >= min_level:
+        while (op := infix.get(self.peek())) and op[0] >= min_level:
             self.advance()
             left = op[1](left, self.binary(compensable, op[0] + 1))
         return left
 
     def atom(self) -> StandardTerm:
         tok = self.peek()
-        if tok.kind == "ident":
+        if is_event_name(tok):
             self.advance()
-            return Atom(tok.text)
-        if tok.text in STANDARD_KEYWORDS:
+            return Atom(tok)
+        if tok in STANDARD_KEYWORDS:
             self.advance()
-            return STANDARD_KEYWORDS[tok.text]
-        if tok.kind == "op" and tok.text in ("(", "["):
+            return STANDARD_KEYWORDS[tok]
+        if tok in ("(", "["):
             # `pair` may read the same bracket twice.  What it holds depends
             # only on where it starts (the nesting depth there is the same on
             # every path), so each is parsed once.
             start = self.index
             if start not in self.brackets:
                 self.open_bracket()
-                inner = self.binary(False) if tok.text == "(" else Block(self.binary(True))
-                self.close_bracket(")" if tok.text == "(" else "]")
+                inner = self.binary(False) if tok == "(" else Block(self.binary(True))
+                self.close_bracket(")" if tok == "(" else "]")
                 self.brackets[start] = inner, self.index
             inner, self.index = self.brackets[start]
             return inner
@@ -185,10 +164,10 @@ class _Parser:
 
     def pair(self) -> CompensableTerm:
         tok = self.peek()
-        if tok.text in COMPENSABLE_KEYWORDS:
+        if tok in COMPENSABLE_KEYWORDS:
             self.advance()
-            return COMPENSABLE_KEYWORDS[tok.text]
-        if self.at_op("("):
+            return COMPENSABLE_KEYWORDS[tok]
+        if tok == "(":
             # Both `(a ; b) % c` and `(a % b)` start here; try the pair
             # reading first and fall back to a parenthesized compensable.
             mark = self.index, self.depth
@@ -204,9 +183,7 @@ class _Parser:
 
     def pair_of_atoms(self) -> CompensableTerm:
         forward = self.atom()
-        if not self.at_op("%"):
-            self.fail("'%'")
-        self.advance()
+        self.expect_op("%")
         return Pair(forward, self.atom())
 
 
@@ -218,7 +195,7 @@ def _parse(text: str, compensable: bool) -> StandardTerm | CompensableTerm:
         term = p.binary(compensable)
     except ValueError:  # the constructors' one refusal here: a node too deep
         raise ParseError(0, f"a term at most {MAX_DEPTH} deep", f"depth {MAX_DEPTH + 1}") from None
-    if p.peek().kind != "end":
+    if p.peek():
         p.fail("end of input")
     return term
 
