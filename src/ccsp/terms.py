@@ -57,6 +57,9 @@ class Terminal(Enum):
         return self if self._value_ >= other._value_ else other
 
     def __lt__(self, other: "Terminal") -> bool:
+        # Against anything but a terminal, `<` is the interpreter's `TypeError`.
+        if not isinstance(other, Terminal):
+            return NotImplemented
         return self._value_ < other._value_
 
     def __str__(self) -> str:
@@ -110,13 +113,18 @@ def check_alphabet(alphabet: Iterable[Event]) -> tuple[Event, ...]:
 
 class _Node:
     """Base for interned term nodes; subclasses declare their fields in
-    ``__slots__`` and are finished off by the `_node` decorator.  Every
-    field is an operand term, except `Atom`'s event name."""
+    ``__slots__`` and are finished off by the `_node` decorator, which gives
+    each its interning `__new__`.  Every field is an operand term, except
+    `Atom`'s event name."""
 
     __slots__ = ("_weight", "_ops", "_depth", "_pp", "__weakref__")
     _noun = "process"
     _fields: tuple[str, ...] = ()
     _pool: dict
+
+    def __new__(cls, *args, **kwargs):
+        # Only the node classes build terms; a bare kind base has no sizes.
+        raise TypeError(f"cannot build a bare {cls.__name__}: terms are built by the node classes")
 
     def __setattr__(self, name, value):
         raise AttributeError("process terms are immutable")
@@ -291,7 +299,7 @@ def _node(weight: int, ops: int, event: bool = False, kinds: tuple[type, ...] | 
         cls._fields = cls.__match_args__ = cls.__slots__
         own = CompensableTerm if issubclass(cls, CompensableTerm) else StandardTerm
         new = _constructor(cls, weight, ops, event, kinds or (own,) * len(cls._fields))
-        # Named as the one generic `__new__` was, so that the interpreter's
+        # Named as the `_Node.__new__` it replaces, so that the interpreter's
         # own errors (a keyword argument, say) read as they always have.
         new.__qualname__ = "_Node.__new__"
         cls.__new__ = new
@@ -565,21 +573,29 @@ def _render(term: StandardTerm | CompensableTerm) -> str:
 
 class _Observation(tuple):
     """A fixed-length tuple ordered by its `sort_key`.  All four comparisons
-    are overridden: the tuple's lexicographic order would answer any left out."""
+    are overridden: the tuple's lexicographic order would answer any left out.
+    Each orders only against its own type and refuses anything else with a
+    `TypeError`, a plain tuple too, whose lexicographic order would disagree
+    with `sort_key` (not returning `NotImplemented`, which would fall back to it)."""
 
     __slots__ = ()
 
+    def _key_of(self, other):
+        if type(other) is not type(self):
+            raise TypeError(f"a {type(self).__name__} is ordered only against another: {other!r}")
+        return other.sort_key
+
     def __lt__(self, other):
-        return self.sort_key < other.sort_key
+        return self.sort_key < self._key_of(other)
 
     def __le__(self, other):
-        return self.sort_key <= other.sort_key
+        return self.sort_key <= self._key_of(other)
 
     def __gt__(self, other):
-        return self.sort_key > other.sort_key
+        return self.sort_key > self._key_of(other)
 
     def __ge__(self, other):
-        return self.sort_key >= other.sort_key
+        return self.sort_key >= self._key_of(other)
 
 
 class Trace(_Observation):

@@ -124,10 +124,21 @@ _A = Atom("a")
         (lambda: ccsp.equivalence.run_lemma_suite(1, True, 0, 2, ("a",)), TypeError,
          "cases must be an integer"),
         (lambda: ccsp.check_lemma(True, (_A, _A)), TypeError, "a law id must be an integer"),
-        # A kind's base class builds a node of no operator at all.
-        (lambda: ccsp.traces_standard(ccsp.StandardTerm()), TypeError, "not a process term"),
-        (lambda: ccsp.derived_traces_standard(ccsp.StandardTerm()), TypeError,
+        # A node of a kind's base class, which only `object.__new__` builds,
+        # has no operator at all.
+        (lambda: ccsp.traces_standard(object.__new__(ccsp.StandardTerm)), TypeError,
          "not a process term"),
+        (lambda: ccsp.derived_traces_standard(object.__new__(ccsp.StandardTerm)), TypeError,
+         "not a process term"),
+        # These ended in an `AttributeError`, or built a node with no sizes.
+        pytest.param(lambda: ccsp.StandardTerm(), TypeError, "cannot build a bare StandardTerm",
+                     id="standard-base-builds-no-node"),
+        pytest.param(lambda: ccsp.CompensableTerm(), TypeError,
+                     "cannot build a bare CompensableTerm", id="compensable-base-builds-no-node"),
+        pytest.param(lambda: trace("*") < 5, TypeError, "ordered only against another: 5",
+                     id="trace-orders-only-against-a-trace"),
+        pytest.param(lambda: Terminal.TICK < 0, TypeError, "'<' not supported",
+                     id="terminal-orders-only-against-a-terminal"),
     ],
 )
 def test_malformed_arguments_are_refused(call, error, message):
