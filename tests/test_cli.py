@@ -7,12 +7,12 @@ from pathlib import Path
 import pytest
 
 import ccsp
-from ccsp import cli, operational
+from ccsp import cli, denotational, equivalence, operational
 from ccsp.cli import run
 from ccsp.denotational import traces_compensable, traces_standard
 from ccsp.equivalence import enumerate_terms
 from ccsp.parser import MAX_DEPTH, MAX_NESTING, parse_compensable, parse_standard
-from ccsp.terms import by_sort_key, term_depth
+from ccsp.terms import Terminal, Trace, by_sort_key, term_depth
 
 
 def invoke(argv):
@@ -482,3 +482,109 @@ def test_run_restores_the_collector_when_a_command_raises(monkeypatch, collectin
         assert gc.isenabled() == collecting
     finally:
         gc.enable()
+
+
+# -- the failure output paths ------------------------------------------------
+
+
+@pytest.fixture
+def seq_mutant(monkeypatch):
+    """The acceptance mutant: the trace semantics' `;` continues after a
+    throw instead of after success, so the two semantics disagree."""
+
+    def mutant(p, q):
+        if p.terminal is Terminal.THROW:
+            return Trace(p.events + q.events, q.terminal)
+        return p
+
+    monkeypatch.setattr(denotational, "seq_traces", mutant)
+    yield
+    ccsp.clear_caches()
+
+
+def test_check_prints_both_sides_of_a_mismatch(seq_mutant):
+    assert invoke(["check", "a ; THROW ; b"]) == (1, (
+        "term: a ; THROW ; b\n"
+        "status: mismatch\n"
+        "only in operational semantics:\n"
+        "<a,!>\n"
+        "only in denotational semantics:\n"
+        "<a,*>\n"
+    ), "")
+    code, out, err = invoke(["check", "a ; THROW ; b", "--format", "machine"])
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {
+        "command": "check", "kind": "std", "status": "mismatch", "term": "a ; THROW ; b",
+        "only_operational": [["a", "!"]], "only_denotational": [["a", "*"]],
+    }
+
+
+def test_enumerate_check_prints_each_mismatch_with_its_witnesses(seq_mutant):
+    code, out, err = invoke(["enumerate", "--max-ops", "1", "--alphabet", "a", "--check"])
+    assert (code, err) == (1, "")
+    assert out.splitlines()[:8] == [
+        "enumerate max-ops=1 alphabet=a kind=std check=true",
+        "MISMATCH a ; a",
+        "  only operational: <a,a,*>",
+        "  only denotational: <a,*>",
+        "MISMATCH a ; THROW",
+        "  only operational: <a,!>",
+        "  only denotational: <a,*>",
+        "MISMATCH a ; YIELD",
+    ]
+    assert out.count("MISMATCH") == 11
+    assert out.splitlines()[-4:] == [
+        "ops 0: 4 terms, 4 equal",
+        "ops 1: 80 terms, 69 equal",
+        "total 84 terms, 73 equal, 11 mismatches",
+        "healthy 84/84",
+    ]
+
+
+def test_prop_prints_each_failing_case_with_its_witnesses(seq_mutant):
+    assert invoke(["prop", "--seed", "2", "--cases", "4", "--max-depth", "2", "--kind", "std"]) == (
+        1, (
+            "prop seed=2 cases=4 max-depth=2 alphabet=a,b kind=std\n"
+            "ok 0000 std YIELD |> b\n"
+            "FAIL 0001 std a ; THROW\n"
+            "  only operational: <a,!>\n"
+            "  only denotational: <a,*>\n"
+            "ok 0002 std a |> YIELD\n"
+            "ok 0003 std b ; SKIP\n"
+            "equal 3/4\n"
+            "healthy 4/4\n"
+        ), "")
+
+
+def test_prop_lemmas_prints_the_operands_a_law_fails_on(seq_mutant):
+    code, out, err = invoke(["prop", "--seed", "1", "--cases", "0", "--lemmas", "--lemma-cases",
+                             "6", "--max-depth", "2", "--alphabet", "a"])
+    assert (code, err) == (1, "")
+    assert out.splitlines()[3:7] == [
+        "lemma 1 seq-standard 3/6 equal",
+        "  FAIL operands: a |> SKIP ; YIELD",
+        "  FAIL operands: SKIP ; THROW ; YIELD || a",
+        "  FAIL operands: [ THROW % a ] ; THROW || a",
+    ]
+    assert "FAIL" not in "".join(out.splitlines()[7:])
+    assert out.endswith("lemmas equal 39/42\n")
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["prop", "--seed", "2", "--cases", "2", "--max-depth", "2", "--kind", "std"],
+         "prop seed=2 cases=2 max-depth=2 alphabet=a,b kind=std\n"
+         "FAIL 0000 std YIELD |> b\n  healthiness violated\n"
+         "FAIL 0001 std a ; THROW\n  healthiness violated\n"
+         "equal 2/2\nhealthy 0/2\n"),
+        (["enumerate", "--max-ops", "0", "--alphabet", "a", "--check"],
+         "enumerate max-ops=0 alphabet=a kind=std check=true\n"
+         "UNHEALTHY a\nUNHEALTHY SKIP\nUNHEALTHY THROW\nUNHEALTHY YIELD\n"
+         "ops 0: 4 terms, 4 equal\ntotal 4 terms, 4 equal, 0 mismatches\nhealthy 0/4\n"),
+    ],
+    ids=["prop", "enumerate"],
+)
+def test_an_unhealthy_trace_set_fails_the_campaign(monkeypatch, argv, expected):
+    monkeypatch.setattr(equivalence, "check_healthiness", lambda term: False)
+    assert invoke(argv) == (1, expected, "")

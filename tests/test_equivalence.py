@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ccsp
-from ccsp import denotational, operational
+from ccsp import denotational, equivalence, operational
 from ccsp.equivalence import (
     GenConfig,
     LAWS,
@@ -519,6 +519,31 @@ def test_check_terms_gives_the_same_verdicts_twice_in_a_row():
     terms = list(enumerate_terms(2, ("a", "b"))) + list(enumerate_terms(1, ("a",), "comp"))
     first, second = (list(check_terms(terms)) for _ in range(2))
     assert first == second
+
+
+def test_trimmed_memo_tables_give_the_same_verdicts(monkeypatch):
+    # At the default threshold these campaigns never trim the tables, so the
+    # trim runs here at a small one.
+    terms = list(enumerate_terms(2, ("a", "b"))) + list(enumerate_terms(1, ("a",), "comp"))
+    trims = []
+    for module in (operational, denotational):
+        monkeypatch.setattr(module, "clear_caches",
+                            lambda clear=module.clear_caches: trims.append(clear()))
+
+    def campaign() -> tuple[tuple, tuple[int, int]]:
+        ccsp.clear_caches()
+        trims.clear()
+        checked = list(check_terms(terms))
+        trimmed = len(trims)
+        suites = [run_lemma_suite(lemma, 20, 3, 3, ("a", "b")) for lemma in sorted(LAWS)]
+        return (checked, suites), (trimmed, len(trims) - trimmed)
+
+    plain, no_trims = campaign()
+    assert no_trims == (0, 0)
+    monkeypatch.setattr(equivalence, "CACHE_TRIM_THRESHOLD", 50)
+    trimmed, trims_made = campaign()
+    assert min(trims_made) > 0
+    assert trimmed == plain
 
 
 # -- mutation sensitivity and counterexample soundness ------------------------
