@@ -72,7 +72,7 @@ MAX_NESTING = 100
 
 @dataclass
 class ParseError(Exception):
-    """Syntax error at a byte offset in the input text."""
+    """Syntax error at a character (code point) offset in the input text."""
 
     position: int
     expected: str
