@@ -329,7 +329,7 @@ def _cmd_prop(args) -> int:
             if suite.failures:
                 failed = True
                 for operands in suite.failures[:5]:
-                    ops = " ; ".join(pretty_print(t) for t in operands)
+                    ops = ", ".join(f"({pretty_print(t)})" for t in operands)
                     print(f"  FAIL operands: {ops}")
         print(f"lemmas equal {lemma_equal}/{lemma_total}")
         if lemma_equal != lemma_total:

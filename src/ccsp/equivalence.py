@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import random
 from bisect import bisect
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import accumulate, product, starmap
 from operator import index
 from typing import Iterable, Iterator
@@ -85,17 +85,24 @@ class Verdict:
         return "equal" if self.is_equal else "mismatch"
 
 
+_NONE: frozenset = frozenset()
+
+
+def _verdict(term, ours: frozenset, theirs: frozenset) -> Verdict:
+    """The verdict on two sets: one comparison when they are equal, the two
+    differences only when they are not."""
+    if ours == theirs:
+        return Verdict(term, _NONE, _NONE)
+    return Verdict(term, frozenset(ours - theirs), frozenset(theirs - ours))
+
+
 def check_standard(term: StandardTerm) -> Verdict:
     """Exact two-way comparison of derived and compositional traces."""
-    derived = derived_traces_standard(term)
-    denoted = traces_standard(term)
-    return Verdict(term, frozenset(derived - denoted), frozenset(denoted - derived))
+    return _verdict(term, derived_traces_standard(term), traces_standard(term))
 
 
 def check_compensable(term: CompensableTerm) -> Verdict:
-    derived = derived_traces_compensable(term)
-    denoted = traces_compensable(term)
-    return Verdict(term, frozenset(derived - denoted), frozenset(denoted - derived))
+    return _verdict(term, derived_traces_compensable(term), traces_compensable(term))
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +194,7 @@ def check_lemma(lemma: int, operands: tuple) -> Verdict:
     for operand, kind in zip(operands, kinds):
         if not isinstance(operand, StandardTerm if kind == "std" else CompensableTerm):
             raise ValueError(f"law {lemma} operand kinds are {kinds}")
-    term, lhs, rhs = impl(*operands)
-    return Verdict(term, frozenset(lhs - rhs), frozenset(rhs - lhs))
+    return _verdict(*impl(*operands))
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +239,14 @@ def gen_term(cfg: GenConfig) -> StandardTerm | CompensableTerm:
     """
     if not isinstance(cfg, GenConfig):
         raise TypeError(f"not a GenConfig: {cfg!r}")
-    gen = _Generator(_DrawTables(cfg.max_depth), random.Random(cfg.seed), cfg.alphabet)
-    return gen.std(cfg.max_depth, 0) if cfg.kind == "std" else gen.comp(cfg.max_depth, 0)
+    return _generate(cfg, cfg.seed)
+
+
+def _generate(recipe: GenConfig, seed: int) -> StandardTerm | CompensableTerm:
+    """`gen_term` of the recipe with its seed replaced, without checking the
+    recipe again."""
+    gen = _Generator(_DrawTables(recipe.max_depth), random.Random(seed), recipe.alphabet)
+    return gen.std(recipe.max_depth, 0) if recipe.kind == "std" else gen.comp(recipe.max_depth, 0)
 
 
 #: What a weighted draw picks: the standard leaves, then the operators.
@@ -369,14 +381,30 @@ class _EnumWorld:
 # ---------------------------------------------------------------------------
 
 #: Trim memo tables once they hold this many entries, to bound memory on
-#: very large campaigns; recomputation after a trim is cheap.
+#: very large campaigns; recomputation after a trim is cheap.  Each driver
+#: starts from empty tables and drops what its checked cases leave, so this
+#: is only the backstop for long `prop` and `enumerate` runs.
 CACHE_TRIM_THRESHOLD = 400_000
+
+
+def _clear_caches() -> None:
+    operational.clear_caches()
+    denotational.clear_caches()
 
 
 def maybe_trim_caches() -> None:
     if operational.cache_size() + denotational.cache_size() > CACHE_TRIM_THRESHOLD:
-        operational.clear_caches()
-        denotational.clear_caches()
+        _clear_caches()
+
+
+def _release(*terms: StandardTerm | CompensableTerm) -> None:
+    """Drop the checked terms' own memo entries, and a block's body's too,
+    then trim the memo tables if they are still large."""
+    for term in terms:
+        for dead in (term, term.body) if isinstance(term, Block) else (term,):
+            operational.forget(dead)
+            denotational.forget(dead)
+    maybe_trim_caches()
 
 
 def check_terms(
@@ -390,10 +418,7 @@ def check_terms(
     for term in terms:
         check = check_compensable if isinstance(term, CompensableTerm) else check_standard
         yield term, check(term), check_healthiness(term)
-        for dead in (term, term.body) if isinstance(term, Block) else (term,):
-            operational.forget(dead)
-            denotational.forget(dead)
-        maybe_trim_caches()
+        _release(term)
 
 
 def run_prop_campaign(
@@ -409,14 +434,17 @@ def run_prop_campaign(
     The per-case terms are a pure function of the arguments (one seed drawn
     per case, in order), so transcripts are reproducible.  A negative
     `cases`, or any argument `GenConfig` refuses, is a `ValueError` at the
-    first `next()`, before any case.
+    first `next()`, before any case.  The first case starts from empty memo
+    tables: the state cap charges only fresh states, so a campaign's result
+    does not depend on what ran before it.
     """
     _integer(cases, "cases", 0)
     kinds = ("std", "comp") if kind == "both" else (kind,)
     recipes = [GenConfig(seed, max_depth, alphabet, k) for k in kinds]  # checks every argument
+    _clear_caches()
     rng = random.Random(seed)
-    configs = (replace(recipes[i % len(recipes)], seed=rng.getrandbits(63)) for i in range(cases))
-    yield from check_terms(map(gen_term, configs))
+    terms = (_generate(recipes[i % len(recipes)], rng.getrandbits(63)) for i in range(cases))
+    yield from check_terms(terms)
 
 
 @dataclass
@@ -439,21 +467,25 @@ def run_lemma_suite(
     alphabet: tuple[Event, ...],
 ) -> LemmaSuiteResult:
     """Check one law on `cases` seeded operand tuples; its arguments are
-    checked before the first case, as `run_prop_campaign` checks them."""
+    checked before the first case, as `run_prop_campaign` checks them.  As
+    there, the first case starts from empty memo tables, and each tuple's
+    composite and operands are dropped from them once checked."""
     _integer(cases, "cases", 0)
     name, kinds, _ = _law(lemma)
     recipes = [GenConfig(seed, max_depth, alphabet, k) for k in kinds]  # checks every argument
+    _clear_caches()
     result = LemmaSuiteResult(lemma, name)
     rng = random.Random((seed << 3) ^ lemma)
     for _ in range(cases):
-        operands = tuple(gen_term(replace(r, seed=rng.getrandbits(63))) for r in recipes)
+        operands = tuple(_generate(r, rng.getrandbits(63)) for r in recipes)
+        verdict = check_lemma(lemma, operands)
         result.total += 1
-        if check_lemma(lemma, operands).is_equal:
+        if verdict.is_equal:
             result.equal += 1
         else:
             result.failures.append(operands)
         _record_coverage(result, lemma, operands)
-        maybe_trim_caches()
+        _release(verdict.term, *operands)
     return result
 
 

@@ -51,7 +51,9 @@ from .terms import (
 )
 
 #: The most fresh states one call may explore; memo hits left by earlier
-#: calls are free.  Read when a call starts, so tests can patch it.
+#: calls are free.  Each CLI command, campaign and law suite starts from
+#: empty tables, so its result does not depend on what ran before it.
+#: Read when a call starts, so tests can patch it.
 STATE_CAP = 100_000
 
 #: A transition label: the event name, or the terminal for a terminal step.

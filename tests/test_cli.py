@@ -562,12 +562,16 @@ def test_prop_lemmas_prints_the_operands_a_law_fails_on(seq_mutant):
     assert (code, err) == (1, "")
     assert out.splitlines()[3:7] == [
         "lemma 1 seq-standard 3/6 equal",
-        "  FAIL operands: a |> SKIP ; YIELD",
-        "  FAIL operands: SKIP ; THROW ; YIELD || a",
-        "  FAIL operands: [ THROW % a ] ; THROW || a",
+        "  FAIL operands: (a |> SKIP), (YIELD)",
+        "  FAIL operands: (SKIP ; THROW), (YIELD || a)",
+        "  FAIL operands: ([ THROW % a ]), (THROW || a)",
     ]
     assert "FAIL" not in "".join(out.splitlines()[7:])
     assert out.endswith("lemmas equal 39/42\n")
+    # Each printed operand parses back to the operand the law failed on.
+    failures = equivalence.run_lemma_suite(1, 6, 1, 2, ("a",)).failures
+    printed = [line.removeprefix("  FAIL operands: ") for line in out.splitlines()[4:7]]
+    assert [tuple(map(parse_standard, ops.split(", "))) for ops in printed] == failures
 
 
 @pytest.mark.parametrize(

@@ -523,12 +523,22 @@ def test_check_terms_gives_the_same_verdicts_twice_in_a_row():
 
 def test_trimmed_memo_tables_give_the_same_verdicts(monkeypatch):
     # At the default threshold these campaigns never trim the tables, so the
-    # trim runs here at a small one.
+    # trim runs here at a small one.  Only a clear made by a trim counts: the
+    # drivers also clear the tables before their first case.
     terms = list(enumerate_terms(2, ("a", "b"))) + list(enumerate_terms(1, ("a",), "comp"))
-    trims = []
+    trims, trimming = [], []
+
+    def trim(original=equivalence.maybe_trim_caches):
+        trimming.append(True)
+        try:
+            original()
+        finally:
+            trimming.pop()
+
+    monkeypatch.setattr(equivalence, "maybe_trim_caches", trim)
     for module in (operational, denotational):
         monkeypatch.setattr(module, "clear_caches",
-                            lambda clear=module.clear_caches: trims.append(clear()))
+                            lambda clear=module.clear_caches: trims.extend(trimming) or clear())
 
     def campaign() -> tuple[tuple, tuple[int, int]]:
         ccsp.clear_caches()
@@ -544,6 +554,52 @@ def test_trimmed_memo_tables_give_the_same_verdicts(monkeypatch):
     trimmed, trims_made = campaign()
     assert min(trims_made) > 0
     assert trimmed == plain
+
+
+def test_each_lemma_suite_starts_cold_and_forgets_each_tuple(monkeypatch):
+    sizes, kept, tuples = [], [], []
+
+    def remembered() -> set:
+        return {term for table in _MEMO_TABLES for term in tuples[-1] if term in table}
+
+    def recording_check(lemma, operands, check=equivalence.check_lemma):
+        sizes.append(operational.cache_size() + denotational.cache_size())
+        if tuples:  # a later tuple may build an earlier one again, so look now
+            kept.append(remembered())
+        verdict = check(lemma, operands)
+        tuples.append((verdict.term, *operands))
+        return verdict
+
+    monkeypatch.setattr(equivalence, "check_lemma", recording_check)
+    for lemma in sorted(LAWS):  # back to back, as `prop --lemmas` runs them
+        sizes.clear()
+        kept.clear()
+        tuples.clear()
+        run_lemma_suite(lemma, 20, 3, 3, ("a", "b"))
+        kept.append(remembered())
+        assert sizes[0] == 0 < max(sizes)
+        assert kept == [set()] * 20
+
+
+@pytest.mark.parametrize(
+    "cap, lemma, before",
+    # At these caps the suite alone stops at the cap, while on the warm
+    # tables the earlier suite leaves it would complete.
+    [(3, 1, 7), (3, 1, 1), (5, 2, 2)],
+)
+def test_a_lemma_suite_gives_the_same_result_after_another(monkeypatch, cap, lemma, before):
+    monkeypatch.setattr(operational, "STATE_CAP", cap)
+
+    def suite(lemma):
+        try:
+            return run_lemma_suite(lemma, 20, 3, 3, ("a", "b"))
+        except operational.StateCapExceeded as e:
+            return e.args
+
+    ccsp.clear_caches()
+    alone = suite(lemma)
+    suite(before)
+    assert suite(lemma) == alone
 
 
 # -- mutation sensitivity and counterexample soundness ------------------------
