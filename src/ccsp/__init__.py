@@ -31,6 +31,7 @@ from .equivalence import (
     check_compensable,
     check_lemma,
     check_standard,
+    clear_caches,
     enumerate_terms,
     gen_term,
 )
@@ -70,9 +71,3 @@ from .terms import (
     trace,
     validate_user_term,
 )
-
-
-def clear_caches() -> None:
-    """Drop every memo table in both semantics."""
-    operational.clear_caches()
-    denotational.clear_caches()

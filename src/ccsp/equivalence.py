@@ -387,14 +387,15 @@ class _EnumWorld:
 CACHE_TRIM_THRESHOLD = 400_000
 
 
-def _clear_caches() -> None:
+def clear_caches() -> None:
+    """Drop every memo table in both semantics."""
     operational.clear_caches()
     denotational.clear_caches()
 
 
 def maybe_trim_caches() -> None:
     if operational.cache_size() + denotational.cache_size() > CACHE_TRIM_THRESHOLD:
-        _clear_caches()
+        clear_caches()
 
 
 def _release(*terms: StandardTerm | CompensableTerm) -> None:
@@ -441,7 +442,7 @@ def run_prop_campaign(
     _integer(cases, "cases", 0)
     kinds = ("std", "comp") if kind == "both" else (kind,)
     recipes = [GenConfig(seed, max_depth, alphabet, k) for k in kinds]  # checks every argument
-    _clear_caches()
+    clear_caches()
     rng = random.Random(seed)
     terms = (_generate(recipes[i % len(recipes)], rng.getrandbits(63)) for i in range(cases))
     yield from check_terms(terms)
@@ -473,7 +474,7 @@ def run_lemma_suite(
     _integer(cases, "cases", 0)
     name, kinds, _ = _law(lemma)
     recipes = [GenConfig(seed, max_depth, alphabet, k) for k in kinds]  # checks every argument
-    _clear_caches()
+    clear_caches()
     result = LemmaSuiteResult(lemma, name)
     rng = random.Random((seed << 3) ^ lemma)
     for _ in range(cases):

@@ -11,9 +11,10 @@ that orders steps canonically.
 Lifting single steps over event sequences gives runs; the derived traces
 of a term are the labels of its maximal runs.  Both are computed by
 exhaustive exploration, which terminates because every step strictly
-decreases `term_weight`.  Exploration shares memo tables across calls and
-charges each freshly explored term against `STATE_CAP` so that pathological
-terms fail loudly instead of thrashing.
+decreases `term_weight`.  Exploration shares memo tables across calls.  A
+freshly explored state is one new entry in the run table, and one call may
+add at most `STATE_CAP` of them (`build_lts` may hold as many nodes), so
+that pathological terms fail loudly instead of thrashing.
 """
 from __future__ import annotations
 
@@ -50,9 +51,10 @@ from .terms import (
     unchecked_trace,
 )
 
-#: The most fresh states one call may explore; memo hits left by earlier
-#: calls are free.  Each CLI command, campaign and law suite starts from
-#: empty tables, so its result does not depend on what ran before it.
+#: The most fresh states one call may explore: the most entries it may add
+#: to the run table, or nodes `build_lts` may hold.  Memo hits left by
+#: earlier calls are free.  Each CLI command, campaign and law suite starts
+#: from empty tables, so its result does not depend on what ran before it.
 #: Read when a call starts, so tests can patch it.
 STATE_CAP = 100_000
 
@@ -202,27 +204,16 @@ def run_lifted(term: StandardTerm, t: Trace) -> bool:
     return any(label is terminal for state in states for label, _ in step(state))
 
 
-class _Budget:
-    __slots__ = ("remaining",)
-
-    def __init__(self):
-        self.remaining = STATE_CAP
-
-    def spend(self) -> None:
-        self.remaining -= 1
-        if self.remaining < 0:
-            raise StateCapExceeded(STATE_CAP)
-
-
 #: Each explored state's run outcomes: traces for a standard state, and
 #: ``(trace, banked compensation)`` pairs for a compensable one.
 _RUNS: dict[StandardTerm | CompensableTerm, frozenset] = {}
 
 
-def _runs(term: StandardTerm | CompensableTerm, budget: _Budget) -> frozenset:
+def _runs(term: StandardTerm | CompensableTerm, limit: int) -> frozenset:
     """The run outcomes of `term`, computed without recursion: a state on
     the stack is computed once every event successor is in `_RUNS`, which
-    ends because every successor is lighter."""
+    ends because every successor is lighter.  Storing a fresh state past
+    `limit` entries in `_RUNS` raises `StateCapExceeded`."""
     runs = _RUNS
     stack = [term]
     while stack:
@@ -238,7 +229,8 @@ def _runs(term: StandardTerm | CompensableTerm, budget: _Budget) -> frozenset:
         if len(stack) > waiting:
             continue
         stack.pop()
-        budget.spend()
+        if len(runs) >= limit:
+            raise StateCapExceeded(STATE_CAP)
         out = set()
         if isinstance(state, StandardTerm):
             for label, succ in steps:
@@ -261,24 +253,25 @@ def _runs(term: StandardTerm | CompensableTerm, budget: _Budget) -> frozenset:
 def derived_traces_standard(term: StandardTerm) -> frozenset[Trace]:
     """The labels of all maximal runs of a standard term."""
     check_kind(term, StandardTerm)
-    return _runs(term, _Budget())
+    return _runs(term, len(_RUNS) + STATE_CAP)
 
 
 def derived_forward(term: CompensableTerm) -> frozenset[tuple[Trace, StandardTerm]]:
     """All (forward trace, banked compensation) outcomes of a compensable
     term's forward runs."""
     check_kind(term, CompensableTerm)
-    return _runs(term, _Budget())
+    return _runs(term, len(_RUNS) + STATE_CAP)
 
 
 def derived_traces_compensable(term: CompensableTerm) -> frozenset[TracePair]:
-    """Forward runs continued through their banked compensations."""
+    """Forward runs continued through their banked compensations, which
+    share one allowance of fresh states."""
     check_kind(term, CompensableTerm)
-    budget = _Budget()
+    limit = len(_RUNS) + STATE_CAP
     return frozenset(
         TracePair(t, t2)
-        for t, banked in _runs(term, budget)
-        for t2 in _runs(banked, budget)
+        for t, banked in _runs(term, limit)
+        for t2 in _runs(banked, limit)
     )
 
 
@@ -338,21 +331,20 @@ def build_lts(term: LtsNode) -> Lts:
     raises `StateCapExceeded`.
     """
     step(term)  # refuses the null process and non-terms, as every exploration does
-    budget = _Budget()
-    budget.spend()
-    nodes: list[LtsNode] = [term]
-    seen = {term}
+    cap = STATE_CAP
+    nodes: dict[LtsNode, None] = {term: None}
     edges: list[LtsEdge] = []
-    queue = deque([term])
+    queue = deque(nodes)
     while queue:
+        # Every new node is queued, so this sees each growth of the graph.
+        if len(nodes) > cap:
+            raise StateCapExceeded(cap)
         node = queue.popleft()
         if isinstance(node, Null):
             continue
         for label, succ in sorted(step(node), key=_step_key):
-            if succ not in seen:
-                budget.spend()
-                seen.add(succ)
-                nodes.append(succ)
+            if succ not in nodes:
+                nodes[succ] = None
                 queue.append(succ)
             edges.append((node, label, succ))
     return Lts(nodes=tuple(nodes), edges=tuple(edges))

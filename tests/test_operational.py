@@ -4,7 +4,7 @@ from functools import reduce
 import pytest
 from hypothesis import given, strategies as st
 
-from ccsp import operational
+from ccsp import clear_caches, operational
 from ccsp.denotational import traces_compensable, traces_standard
 from ccsp.equivalence import GenConfig, check_compensable, check_lemma, check_standard, gen_term
 from ccsp.operational import (
@@ -17,6 +17,7 @@ from ccsp.operational import (
     run_lifted,
     step,
 )
+from ccsp.parser import parse_compensable
 from ccsp.terms import (
     NULL,
     SKIP,
@@ -305,6 +306,33 @@ def test_lts_state_cap_bounds_the_node_count(monkeypatch):
     monkeypatch.setattr(operational, "STATE_CAP", 4)
     with pytest.raises(StateCapExceeded, match="more than 4 states"):
         build_lts(Par(A, B))
+    # The root is charged too.
+    monkeypatch.setattr(operational, "STATE_CAP", 0)
+    with pytest.raises(StateCapExceeded, match="more than 0 states"):
+        build_lts(A)
+
+
+@pytest.mark.parametrize(
+    "explore, fresh",
+    [
+        # the four process states of `a || b`
+        (lambda: derived_traces_standard(Par(A, B)), 4),
+        # four forward states, then four in the one banked compensation
+        # `b || d`: forward and banked runs share one allowance
+        (lambda: derived_traces_compensable(parse_compensable("(a % b) || (c % d)")), 8),
+    ],
+    ids=["standard", "compensable"],
+)
+def test_state_cap_boundary_on_runs(monkeypatch, explore, fresh):
+    monkeypatch.setattr(operational, "STATE_CAP", fresh - 1)
+    with pytest.raises(StateCapExceeded, match=f"more than {fresh - 1} states"):
+        explore()
+    clear_caches()
+    monkeypatch.setattr(operational, "STATE_CAP", fresh)
+    outcomes = explore()
+    # Memo hits are free, so the same call on warm tables needs no fresh state.
+    monkeypatch.setattr(operational, "STATE_CAP", 0)
+    assert explore() == outcomes
 
 
 _BIG = Par(Par(A, B), Par(Atom("c"), Atom("d")))  # 16 states before null

@@ -18,7 +18,10 @@ depths 1, 2, 3 and 8 (leaf-only, shallow and deep generator tables),
 `prop --seed 3 --cases 200 --max-depth 4`, `example warehouse`, `lts` and
 `traces --semantics operational` on the warehouse term (its transition
 graph takes every compensable rule: `;` into the auxiliary construct, `||`,
-`[]` and `THROWW` inside a block), then `check`,
+`[]` and `THROWW` inside a block), `lts` on `e0 || e1 || ... || e16`
+(131 073 nodes, so it stops at the default `STATE_CAP` with exit 1 after
+about 10 s; this is the one argv that meets the default cap's boundary,
+which Tier-1 reaches only with a patched cap), then `check`,
 `traces`, `traces --format machine` and `lts` on every term of
 `tests/data/pinned_values.txt`, and `check` on every input of
 `tests/data/parse_errors_golden.txt`; the warehouse term and both files
@@ -63,6 +66,7 @@ def argvs() -> list[list[str]]:
         ["example", "warehouse"],
         ["lts", WAREHOUSE_TEXT],
         ["traces", "--semantics", "operational", WAREHOUSE_TEXT],
+        ["lts", " || ".join(f"e{i}" for i in range(17))],
     ]
     for line in (DATA / "pinned_values.txt").read_text(encoding="utf-8").splitlines():
         if line.strip() and not line.startswith("#"):
