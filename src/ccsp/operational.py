@@ -55,7 +55,7 @@ from .terms import (
 #: to the run table, or nodes `build_lts` may hold.  Memo hits left by
 #: earlier calls are free.  Each CLI command, campaign and law suite starts
 #: from empty tables, so its result does not depend on what ran before it.
-#: Read when a call starts, so tests can patch it.
+#: Read at call time, so tests can patch it.
 STATE_CAP = 100_000
 
 #: A transition label: the event name, or the terminal for a terminal step.
@@ -331,14 +331,13 @@ def build_lts(term: LtsNode) -> Lts:
     raises `StateCapExceeded`.
     """
     step(term)  # refuses the null process and non-terms, as every exploration does
-    cap = STATE_CAP
     nodes: dict[LtsNode, None] = {term: None}
     edges: list[LtsEdge] = []
     queue = deque(nodes)
     while queue:
         # Every new node is queued, so this sees each growth of the graph.
-        if len(nodes) > cap:
-            raise StateCapExceeded(cap)
+        if len(nodes) > STATE_CAP:
+            raise StateCapExceeded(STATE_CAP)
         node = queue.popleft()
         if isinstance(node, Null):
             continue
