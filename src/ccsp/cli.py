@@ -51,10 +51,6 @@ from .terms import (
 )
 
 
-def _parse_term(text: str, kind: str):
-    return parse_standard(text) if kind == "std" else parse_compensable(text)
-
-
 def _split_alphabet(text: str) -> tuple[str, ...]:
     try:
         return check_alphabet(part.strip() for part in text.split(",") if part.strip())
@@ -210,7 +206,7 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 
 def _validated_term(args):
-    term = _parse_term(args.term, args.kind)
+    term = (parse_standard if args.kind == "std" else parse_compensable)(args.term)
     violations = validate_user_term(term, args.alphabet)
     if violations:
         for v in violations:

@@ -161,20 +161,11 @@ def step(term: StandardTerm | CompensableTerm) -> tuple[Step, ...]:
                 if isinstance(label, str):
                     out[label, CSeq(succ, r)] = None
                 elif label is _TICK:
-                    for rlabel, rsucc in step(r):
-                        if isinstance(rlabel, str):
-                            out[rlabel, Aux(rsucc, succ)] = None
-                        else:
-                            # Compensations accumulate in reverse order.
-                            out[rlabel, Seq(rsucc, succ)] = None
+                    _aux_steps(step(r), succ, out)
                 else:
                     out[label, succ] = None
         case Aux(rest, stored):
-            for label, succ in step(rest):
-                if isinstance(label, str):
-                    out[label, Aux(succ, stored)] = None
-                else:
-                    out[label, Seq(succ, stored)] = None
+            _aux_steps(step(rest), stored, out)
         case Null():
             raise ValueError("the null process has no transitions")
         case _:
@@ -184,6 +175,15 @@ def step(term: StandardTerm | CompensableTerm) -> tuple[Step, ...]:
     steps = tuple(out)
     _STEPS[term] = steps
     return steps
+
+
+def _aux_steps(steps: tuple[Step, ...], stored: StandardTerm, out: dict[Step, None]) -> None:
+    # The steps of `Aux(rest, stored)` from those of `rest`, stored in no memo.
+    for label, succ in steps:
+        if isinstance(label, str):
+            out[label, Aux(succ, stored)] = None
+        else:  # compensations accumulate in reverse order
+            out[label, Seq(succ, stored)] = None
 
 
 # ---------------------------------------------------------------------------

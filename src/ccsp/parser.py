@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NoReturn
 
 from .terms import (
     BINARY_OPERATORS,
@@ -124,7 +125,7 @@ class _Parser:
         self.expect_op(op)
         self.depth -= 1
 
-    def fail(self, expected: str) -> None:
+    def fail(self, expected: str) -> NoReturn:
         text, offset = self.tokens[self.index]
         raise ParseError(offset, expected, repr(text) if text else "end of input")
 
@@ -160,7 +161,6 @@ class _Parser:
             inner, self.index = self.brackets[start]
             return inner
         self.fail("a standard term")
-        raise AssertionError("unreachable")
 
     def pair(self) -> CompensableTerm:
         tok = self.peek()

@@ -11,15 +11,20 @@ Terms are immutable and hash-consed (interned): structurally equal
 constructions yield the same instance, so equality and hashing are both by
 identity, and the memo tables driving exhaustive exploration stay cheap.
 Construction is the only supported way to obtain a term.  Each node class
-has one constructor for its arity and a pool: a plain dict from the
-operands to a weak reference to the live node built from them.  The
-reference remembers its key, and when the node dies its callback removes
-the entry, unless a newer reference has taken its place; so a pool holds
-only live terms, and a term rebuilt after its death is again the one
-instance.  Interning also sizes the term: its operator count, weight and
-depth are its class's share plus its operands' (already computed) sizes,
-so `term_op_count`, `term_weight` and `term_depth` are attribute reads.  A
-node deeper than `MAX_DEPTH` is refused before it is built (`ValueError`).
+has one constructor for its arity, which takes its operands positionally
+and nothing else: a wrong count or a keyword is the interpreter's own
+`TypeError`, and it names the class.  Each class has a pool: a plain dict
+from the operands to a weak reference to the live node built from them.
+The reference remembers its key, and when the node dies its callback
+removes the entry, unless a newer reference has taken its place; so a pool
+holds only live terms, and a term rebuilt after its death is again the one
+instance.  A class with no fields (`Skip`, `Throw`, `Yield`, `Null`) has
+exactly one instance, pooled when the class is finished, and its
+constructor returns it without a lookup.  Interning also sizes the term:
+its operator count, weight and depth are its class's share plus its
+operands' (already computed) sizes, so `term_op_count`, `term_weight` and
+`term_depth` are attribute reads.  A node deeper than `MAX_DEPTH` is
+refused before it is built (`ValueError`).
 """
 from __future__ import annotations
 
@@ -173,20 +178,11 @@ class _PoolRef(weakref.ref):
     __slots__ = ("key",)
 
 
-# Stands in for an operand left out, so that a call with too few operands
-# reaches the arity check and its message.
-_ABSENT = object()
-
-
-def _arity_error(cls, given) -> TypeError:
-    count = sum(arg is not _ABSENT for arg in given)
-    return TypeError(f"{cls.__name__} takes {len(cls._fields)} field(s), got {count}")
-
-
 def _constructor(cls, weight: int, ops: int, event: bool, kinds: tuple[type, ...]):
     """The interning `__new__` of a node class, one per arity: look the
     operands up in the class's pool, or check them against `kinds`, build the
-    node, size it from its operands and pool a weak reference to it."""
+    node, size it from its operands and pool a weak reference to it.  A class
+    with no fields is interned here, once, and its constructor returns that."""
     pool = cls._pool = {}
     get = pool.get
     new = object.__new__
@@ -221,17 +217,13 @@ def _constructor(cls, weight: int, ops: int, event: bool, kinds: tuple[type, ...
         set_first, set_second = setters
         first_kind, second_kind = kinds
 
-        def binary(cls, first=_ABSENT, second=_ABSENT, /, *extra):
-            if extra:
-                raise _arity_error(cls, (first, second, *extra))
+        def binary(cls, first, second, /):
             key = (first, second)
             ref = get(key)
             if ref is not None:
                 inst = ref()
                 if inst is not None:
                     return inst
-            if second is _ABSENT:
-                raise _arity_error(cls, key)
             if not isinstance(first, first_kind):
                 raise operand_error(fields[0], first, first_kind)
             if not isinstance(second, second_kind):
@@ -252,16 +244,12 @@ def _constructor(cls, weight: int, ops: int, event: bool, kinds: tuple[type, ...
         (set_operand,) = setters
         (kind,) = kinds
 
-        def unary(cls, operand=_ABSENT, /, *extra):
-            if extra:
-                raise _arity_error(cls, (operand, *extra))
+        def unary(cls, operand, /):
             ref = get(operand)
             if ref is not None:
                 inst = ref()
                 if inst is not None:
                     return inst
-            if operand is _ABSENT:
-                raise _arity_error(cls, ())
             if event:
                 _event_names((operand,))
                 sizes = weight, ops, 1
@@ -276,15 +264,10 @@ def _constructor(cls, weight: int, ops: int, event: bool, kinds: tuple[type, ...
 
         return unary
 
-    def nullary(cls, /, *extra):
-        if extra:
-            raise _arity_error(cls, extra)
-        ref = get(())
-        if ref is not None:
-            inst = ref()
-            if inst is not None:
-                return inst
-        return intern(new(cls), (), weight, ops, 1)
+    one = intern(new(cls), (), weight, ops, 1)
+
+    def nullary(cls, /):
+        return one
 
     return nullary
 
@@ -299,9 +282,9 @@ def _node(weight: int, ops: int, event: bool = False, kinds: tuple[type, ...] | 
         cls._fields = cls.__match_args__ = cls.__slots__
         own = CompensableTerm if issubclass(cls, CompensableTerm) else StandardTerm
         new = _constructor(cls, weight, ops, event, kinds or (own,) * len(cls._fields))
-        # Named as the `_Node.__new__` it replaces, so that the interpreter's
-        # own errors (a keyword argument, say) read as they always have.
-        new.__qualname__ = "_Node.__new__"
+        # The interpreter checks the operand count and refuses keywords; named
+        # so, its `TypeError` names the class (`Seq.__new__() missing ...`).
+        new.__qualname__ = f"{cls.__name__}.__new__"
         cls.__new__ = new
         return cls
 

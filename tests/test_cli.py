@@ -436,21 +436,26 @@ def test_run_restores_the_collector(monkeypatch, argv, code, cap, collecting):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ["prop", "--max-depth", "0", "--cases", "2"],
-        ["enumerate", "--max-ops", "-1"],
-        ["prop", "--cases", "-3"],
-        ["prop", "--lemmas", "--lemma-cases", "-1"],
-        ["enumerate", "--max-ops", "1", "--kind", "comp", "--max-pair-ops", "-1"],
+        (["prop", "--max-depth", "0", "--cases", "2"], "must be at least 1, got 0"),
+        (["enumerate", "--max-ops", "-1"], "must be at least 0, got -1"),
+        (["prop", "--cases", "-3"], "must be at least 0, got -3"),
+        (["prop", "--lemmas", "--lemma-cases", "-1"], "must be at least 0, got -1"),
+        (["enumerate", "--max-ops", "1", "--kind", "comp", "--max-pair-ops", "-1"],
+         "must be at least 0, got -1"),
+        # Not an integer at all.
+        (["prop", "--cases", "abc"], "invalid int value: 'abc'"),
+        (["enumerate", "--max-ops", "1.5"], "invalid int value: '1.5'"),
     ],
-    ids=["max-depth", "max-ops", "cases", "lemma-cases", "max-pair-ops"],
+    ids=["max-depth", "max-ops", "cases", "lemma-cases", "max-pair-ops",
+         "cases-not-int", "max-ops-not-int"],
 )
-def test_out_of_range_numeric_option_is_a_usage_error(argv):
+def test_out_of_range_numeric_option_is_a_usage_error(argv, message):
     code, out, err = invoke(argv)
     assert code == 2
     assert out == ""
-    assert "usage:" in err and "must be at least" in err
+    assert "usage:" in err and message in err
     assert "Traceback" not in err
 
 

@@ -19,9 +19,11 @@ from ccsp.terms import (
     Aux,
     Block,
     CSeq,
+    Null,
     Pair,
     Par,
     Seq,
+    Skip,
     Terminal,
     Trace,
     TracePair,
@@ -318,7 +320,19 @@ def test_trace_refuses_an_invalid_or_reserved_event_name(name):
 
 
 def test_terms_are_built_positionally():
-    with pytest.raises(TypeError, match=r"Seq takes 2 field\(s\), got 1"):
-        Seq(A)
-    with pytest.raises(TypeError):
-        Seq(left=A, right=A)
+    # A wrong operand count or a keyword is the interpreter's own refusal,
+    # and it names the class.
+    calls = [
+        (lambda: Seq(A), "Seq"),
+        (lambda: Seq(A, A, A), "Seq"),
+        (lambda: Atom(), "Atom"),
+        (lambda: Block(), "Block"),
+        (lambda: Skip(1), "Skip"),
+        (lambda: Seq(left=A, right=A), "Seq"),
+    ]
+    for call, name in calls:
+        with pytest.raises(TypeError, match=rf"^{name}\.__new__\(\) "):
+            call()
+    # A class with no fields has one instance.
+    assert Skip() is SKIP
+    assert Null() is NULL

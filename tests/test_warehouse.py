@@ -1,7 +1,15 @@
+import pytest
+
 from ccsp.denotational import traces_standard
 from ccsp.operational import derived_traces_standard
-from ccsp.terms import Terminal, validate_user_term
-from ccsp.warehouse import COMPENSATIONS, warehouse_report, warehouse_term
+from ccsp.terms import Terminal, trace, validate_user_term
+from ccsp.warehouse import (
+    COMPENSATIONS,
+    _compensations_reversed,
+    _forward_actions_compensated,
+    warehouse_report,
+    warehouse_term,
+)
 
 
 def test_warehouse_term_is_valid():
@@ -53,3 +61,17 @@ def test_warehouse_report_is_green():
     report = warehouse_report()
     assert report.ok
     assert [passed for _, passed, _ in report.checks] == [True] * 5
+
+
+@pytest.mark.parametrize(
+    "guarantee, events",
+    [
+        (_forward_actions_compensated, ["AcceptOrder", "NotOk"]),
+        (_forward_actions_compensated, ["RestockOrder", "AcceptOrder"]),
+        (_compensations_reversed, ["BookCourier", "RestockOrder"]),
+        (_compensations_reversed, ["AcceptOrder", "RestockOrder", "CancelCourier", "RestockOrder"]),
+    ],
+    ids=["never-undone", "undone-first", "first-not-accept", "undo-after-restock"],
+)
+def test_warehouse_guarantees_can_fail(guarantee, events):
+    assert guarantee(trace(*events, "*")) is False

@@ -12,9 +12,10 @@ code, the wall time of the `run` call and its own peak resident set size
 several checkouts, each round runs every workload once in each checkout,
 alternating which checkout goes first, so that parent and change can be
 compared on the same machine.  `--runs N` makes N rounds; the table then
-gives each figure's range over them.  Runs are one at a time, so the table
-needs about one minute per round and checkout.  Standard library only; not
-a Tier-1 test.
+gives each figure's range over them.  Below the table, each checkout's
+`src/` line count (newlines in its `*.py` files, as `wc -l` counts them).
+Runs are one at a time, so the table needs about one minute per round and
+checkout.  Standard library only; not a Tier-1 test.
 """
 from __future__ import annotations
 
@@ -68,6 +69,10 @@ def span(values: list[float], fmt: str) -> str:
     return low if low == high else f"{low}-{high}"
 
 
+def src_lines(checkout: Path) -> int:
+    return sum(path.read_bytes().count(b"\n") for path in (checkout / "src").rglob("*.py"))
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -95,6 +100,9 @@ def main() -> int:
             print(f"| {checkout} | {label} | `{' '.join(argv)}` | {codes} | "
                   f"{span([r['wall_s'] for r in runs], '.1f')} s | "
                   f"{span([r['rss_mib'] for r in runs], '.0f')} MiB |")
+    print()
+    for checkout in checkouts:
+        print(f"{checkout}: `src/` has {src_lines(checkout)} lines")
     return 0
 
 
