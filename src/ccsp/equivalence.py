@@ -5,7 +5,9 @@
 by exact set equality in both directions.  `check_lemma` does the same for
 the seven decomposition laws relating lifted runs of a composite term to
 trace-level operators over the runs of its parts, one law per operator.
-Laws 1, 2, 6 and 7 reuse the trace semantics' one set operator per clause
+Each law is one row of `LAWS`: its composite's constructor, the runs it
+compares, its formula over the operands and its coverage probe.  Laws 1,
+2, 6 and 7 reuse the trace semantics' one set operator per clause
 (`lift_seq`, `lift_par`, `lift_pair`, `lift_block`) over derived sets, so
 a fault in a clause shows up in its law; laws 3-5 relate forward outcomes.
 Neither semantics imports the other or this module.
@@ -22,7 +24,7 @@ from bisect import bisect
 from dataclasses import dataclass, field
 from itertools import accumulate, product, starmap
 from operator import index
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from . import denotational, operational
 from .denotational import (
@@ -117,58 +119,57 @@ def _derived(term):
     return derived_traces_standard(term)
 
 
-def _clause_law(ctor, lift):
-    """The law that the runs of `ctor(*operands)` are `lift`, the trace
-    semantics' clause for `ctor`, applied to the runs of the operands."""
-
-    def law(*operands):
-        term = ctor(*operands)
-        return term, _derived(term), lift(*map(_derived, operands))
-
-    return law
+def _forward(term):
+    """`derived_forward`, called through the global that perfbench's tracer wraps."""
+    return derived_forward(term)
 
 
-def _law_seq_forward(pp, qq):
-    term = CSeq(pp, qq)
-    lhs = derived_forward(term)
-    rhs = set()
-    for p, banked_p in derived_forward(pp):
-        for q, banked_q in derived_forward(qq):
-            if p.terminal is Terminal.TICK:
-                rhs.add((seq_traces(p, q), Seq(banked_q, banked_p)))
-            else:
-                rhs.add((p, banked_p))
-    return term, lhs, frozenset(rhs)
+def _seq_forward(pp, qq):
+    """Law 3: `qq` runs on after `pp` ticks, and is compensated before `pp`."""
+    return frozenset(
+        (seq_traces(p, q), Seq(banked_q, banked_p)) if p.terminal is Terminal.TICK
+        else (p, banked_p)
+        for p, banked_p in derived_forward(pp)
+        for q, banked_q in derived_forward(qq)
+    )
 
 
-def _law_aux_removal(qq, p):
-    term = Aux(qq, p)
-    lhs = derived_forward(term)
-    return term, lhs, frozenset((t, Seq(banked, p)) for t, banked in derived_forward(qq))
-
-
-def _law_par_forward(pp, qq):
-    term = CPar(pp, qq)
-    lhs = derived_forward(term)
-    rhs = frozenset(
+def _par_forward(pp, qq):
+    """Law 5: each interleaving, banking the two compensations in parallel."""
+    return frozenset(
         (t, Par(banked_p, banked_q))
         for p, banked_p in derived_forward(pp)
         for q, banked_q in derived_forward(qq)
         for t in par_traces(p, q)
     )
-    return term, lhs, rhs
 
 
-#: law id -> (name, operand kinds, implementation(*operands) returning the
-#: composite term, its runs and the formula's side)
-LAWS: dict[int, tuple[str, tuple[str, ...], object]] = {
-    1: ("seq-standard", ("std", "std"), _clause_law(Seq, lift_seq)),
-    2: ("par-standard", ("std", "std"), _clause_law(Par, lift_par)),
-    3: ("seq-forward", ("comp", "comp"), _law_seq_forward),
-    4: ("aux-removal", ("comp", "std"), _law_aux_removal),
-    5: ("par-forward", ("comp", "comp"), _law_par_forward),
-    6: ("pair", ("std", "std"), _clause_law(Pair, lift_pair)),
-    7: ("block", ("comp",), _clause_law(Block, lift_block)),
+def _cond_branches(pp, qq):
+    """Law 3's coverage: the branches of `CSeq`'s condition that `pp` takes."""
+    return {"cond-true" if p.terminal is Terminal.TICK else "cond-false"
+            for p, _ in derived_forward(pp)}
+
+
+def _forward_throws(p, q):
+    """Law 6's coverage: whether the pair's forward process can throw."""
+    return {"forward-throw" for t in derived_traces_standard(p) if t.terminal is Terminal.THROW}
+
+
+#: law id -> (name, operand kinds, composite constructor, runs, formula over
+#: the operands, coverage probe or None).  Laws 1, 2, 6 and 7 lift the
+#: operands' derived traces by the trace semantics' clause for the constructor.
+LAWS: dict[int, tuple[str, tuple[str, ...], type, Callable, Callable, Callable | None]] = {
+    1: ("seq-standard", ("std", "std"), Seq, _derived,
+        lambda *ops: lift_seq(*map(_derived, ops)), None),
+    2: ("par-standard", ("std", "std"), Par, _derived,
+        lambda *ops: lift_par(*map(_derived, ops)), None),
+    3: ("seq-forward", ("comp", "comp"), CSeq, _forward, _seq_forward, _cond_branches),
+    4: ("aux-removal", ("comp", "std"), Aux, _forward,
+        lambda qq, p: frozenset((t, Seq(banked, p)) for t, banked in derived_forward(qq)), None),
+    5: ("par-forward", ("comp", "comp"), CPar, _forward, _par_forward, None),
+    6: ("pair", ("std", "std"), Pair, _derived,
+        lambda *ops: lift_pair(*map(_derived, ops)), _forward_throws),
+    7: ("block", ("comp",), Block, _derived, lambda *ops: lift_block(*map(_derived, ops)), None),
 }
 
 
@@ -187,14 +188,16 @@ def _law(lemma: int) -> tuple:
 
 
 def check_lemma(lemma: int, operands: tuple) -> Verdict:
-    """Check one decomposition law (1-7) on concrete operand terms."""
-    _, kinds, impl = _law(lemma)
+    """Check one decomposition law (1-7) on concrete operand terms: the runs
+    of its composite `ctor(*operands)` against `formula(*operands)`."""
+    _, kinds, ctor, runs, formula, _ = _law(lemma)
     if len(operands) != len(kinds):
         raise ValueError(f"law {lemma} takes {len(kinds)} operands, got {len(operands)}")
     for operand, kind in zip(operands, kinds):
         if not isinstance(operand, StandardTerm if kind == "std" else CompensableTerm):
             raise ValueError(f"law {lemma} operand kinds are {kinds}")
-    return _verdict(*impl(*operands))
+    term = ctor(*operands)
+    return _verdict(term, runs(term), formula(*operands))
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +225,7 @@ class GenConfig:
     def __post_init__(self):
         _integer(self.seed, "seed")  # an integer, as `--seed` is
         _integer(self.max_depth, "max_depth", 1)
-        check_alphabet(self.alphabet)
+        object.__setattr__(self, "alphabet", check_alphabet(self.alphabet))
         if self.kind not in ("std", "comp"):
             raise ValueError(f"unknown kind: {self.kind!r}")
 
@@ -455,8 +458,8 @@ class LemmaSuiteResult:
     total: int = 0
     equal: int = 0
     failures: list[tuple] = field(default_factory=list)  # operand tuples
-    #: coverage counters, e.g. COND branches for law 3 and forward throws
-    #: for law 6
+    #: tuples counted per key of the law's coverage probe (`LAWS`): the
+    #: branches of law 3's condition, law 6's forward throws
     coverage: dict[str, int] = field(default_factory=dict)
 
 
@@ -472,7 +475,7 @@ def run_lemma_suite(
     there, the first case starts from empty memo tables, and each tuple's
     composite and operands are dropped from them once checked."""
     _integer(cases, "cases", 0)
-    name, kinds, _ = _law(lemma)
+    name, kinds, *_, probe = _law(lemma)
     recipes = [GenConfig(seed, max_depth, alphabet, k) for k in kinds]  # checks every argument
     clear_caches()
     result = LemmaSuiteResult(lemma, name)
@@ -485,20 +488,8 @@ def run_lemma_suite(
             result.equal += 1
         else:
             result.failures.append(operands)
-        _record_coverage(result, lemma, operands)
+        for key in sorted(probe(*operands) if probe else ()):
+            result.coverage[key] = result.coverage.get(key, 0) + 1
         _release(verdict.term, *operands)
     return result
 
-
-def _record_coverage(result: LemmaSuiteResult, lemma: int, operands: tuple) -> None:
-    cov = result.coverage
-    if lemma == 3:
-        terminals = {t.terminal for t, _ in derived_forward(operands[0])}
-        if Terminal.TICK in terminals:
-            cov["cond-true"] = cov.get("cond-true", 0) + 1
-        if terminals - {Terminal.TICK}:
-            cov["cond-false"] = cov.get("cond-false", 0) + 1
-    elif lemma == 6:
-        terminals = {t.terminal for t in derived_traces_standard(operands[0])}
-        if Terminal.THROW in terminals:
-            cov["forward-throw"] = cov.get("forward-throw", 0) + 1

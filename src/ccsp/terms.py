@@ -134,6 +134,11 @@ class _Node:
     def __setattr__(self, name, value):
         raise AttributeError("process terms are immutable")
 
+    def __deepcopy__(self, memo=None):  # interned and immutable: its own copy
+        return self
+
+    __copy__ = __deepcopy__
+
     def __repr__(self) -> str:
         # A stack of nodes and finished text, as in `_render`.
         parts: list[str] = []
@@ -562,6 +567,9 @@ class _Observation(tuple):
     with `sort_key` (not returning `NotImplemented`, which would fall back to it)."""
 
     __slots__ = ()
+
+    def __reduce__(self):  # copies and pickles, at any protocol, rebuild through `__new__`
+        return type(self), tuple(self)
 
     def _key_of(self, other):
         if type(other) is not type(self):

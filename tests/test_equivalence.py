@@ -104,7 +104,7 @@ def test_check_lemma_verdict_names_the_composite_term():
     assert verdict.is_equal and not verdict.only_denotational
     composites = {1: Seq, 2: Par, 3: CSeq, 4: Aux, 5: CPar, 6: Pair, 7: Block}
     operands = {"std": A, "comp": Pair(A, B)}
-    for lemma, (_, kinds, _) in LAWS.items():
+    for lemma, (_, kinds, *_) in LAWS.items():
         ops = tuple(operands[k] for k in kinds)
         assert check_lemma(lemma, ops).term is composites[lemma](*ops)
 
@@ -121,7 +121,7 @@ def test_check_lemma_rejects_bad_operands():
 @given(st.integers(0, 2**63 - 1), st.sampled_from(sorted(LAWS)))
 @settings(max_examples=120)
 def test_laws_hold_on_random_operands(seed, lemma):
-    _, kinds, _ = LAWS[lemma]
+    _, kinds, *_ = LAWS[lemma]
     rng = random.Random(seed)
     operands = tuple(
         gen_term(
@@ -195,12 +195,13 @@ def test_lemma_suite_checks_every_argument_before_its_first_case(args, message):
 
 
 def test_lemma_suite_covers_both_cond_branches_and_forward_throw():
-    s3 = run_lemma_suite(3, 100, 42, 4, ("a", "b"))
-    assert s3.equal == s3.total == 100
-    assert s3.coverage["cond-true"] > 0 and s3.coverage["cond-false"] > 0
-    s6 = run_lemma_suite(6, 100, 42, 4, ("a", "b"))
-    assert s6.equal == 100
-    assert s6.coverage["forward-throw"] > 0
+    # Each law's counters come from its own row's probe, and only from it.
+    expected = {3: {"cond-true", "cond-false"}, 6: {"forward-throw"}}
+    for lemma in sorted(LAWS):
+        suite = run_lemma_suite(lemma, 100, 42, 4, ("a", "b"))
+        assert suite.equal == suite.total == 100
+        assert set(suite.coverage) == expected.get(lemma, set()), lemma
+        assert all(0 < count <= 100 for count in suite.coverage.values())
 
 
 # -- generation ---------------------------------------------------------------
@@ -234,6 +235,18 @@ def test_gen_config_refuses_a_non_integer(seed, max_depth):
 def test_gen_term_refuses_a_non_config():
     with pytest.raises(TypeError, match="not a GenConfig: 'x'"):
         gen_term("x")
+
+
+def test_gen_config_keeps_the_checked_alphabet():
+    # The caller's list used to be kept, unhashable and still open to change.
+    events = ["a", "b"]
+    cfg = GenConfig(0, 3, events, "std")
+    events.append("c")
+    assert cfg.alphabet == ("a", "b") and type(cfg.alphabet) is tuple
+    assert hash(cfg) == hash(GenConfig(0, 3, ("a", "b"), "std"))
+    assert cfg == GenConfig(0, 3, ("a", "b"), "std")
+    assert gen_term(cfg) is gen_term(GenConfig(0, 3, ("a", "b"), "std"))
+    assert GenConfig(0, 3, iter(events), "std").alphabet == ("a", "b", "c")
 
 
 def test_gen_config_refuses_a_repeated_event():

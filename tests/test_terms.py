@@ -1,4 +1,6 @@
+import copy
 import operator
+import pickle
 from functools import reduce
 from itertools import product
 from pathlib import Path
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ccsp.denotational import traces_compensable, traces_standard
-from ccsp.equivalence import GenConfig, gen_term
+from ccsp.equivalence import GenConfig, Verdict, check_lemma, gen_term
 from ccsp.operational import derived_forward
 from ccsp.parser import parse_compensable, parse_standard
 from ccsp.terms import (
@@ -36,6 +38,7 @@ from ccsp.terms import (
     term_weight,
     trace,
     trace_tokens,
+    unchecked_trace,
     validate_user_term,
 )
 
@@ -291,6 +294,57 @@ def test_generated_terms_are_valid_and_round_trip(cfg):
 @given(_gen_cfgs)
 def test_generator_is_deterministic(cfg):
     assert gen_term(cfg) is gen_term(cfg)
+
+
+@given(_gen_cfgs)
+def test_a_copy_of_a_term_is_the_term(cfg):
+    term = gen_term(cfg)
+    assert copy.copy(term) is term and copy.deepcopy(term) is term
+
+
+def test_leaves_runtime_terms_and_the_deepest_chain_copy_to_themselves():
+    # `copy.copy(SKIP)` used to raise AttributeError, and a deep copy TypeError.
+    chain = reduce(Seq, [A] * MAX_DEPTH)
+    for term in (NULL, SKIP, Aux(Pair(A, B), B), chain):
+        assert copy.copy(term) is term and copy.deepcopy(term) is term
+    held = {"terms": [A, chain]}
+    copied = copy.deepcopy(held)
+    assert copied == held and copied["terms"][1] is chain
+
+
+def _types(value) -> set:
+    """The types of an observation, a set of them or a verdict, and of all they hold."""
+    if isinstance(value, Verdict):
+        return {Verdict}.union(*map(_types, (value.only_operational, value.only_denotational)))
+    if isinstance(value, (tuple, frozenset)):
+        return {type(value)}.union(*map(_types, value))
+    return {type(value)}
+
+
+def test_observations_copy_and_pickle_as_their_own_types():
+    # Each used to raise `Trace.__new__() missing 1 required positional argument`.
+    t, u = trace("a", "b", "!"), trace("*")
+    p = TracePair(t, u)
+    protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+    copies = [copy.copy, copy.deepcopy]
+    copies += [lambda v, n=n: pickle.loads(pickle.dumps(v, n)) for n in protocols]
+    for value in (t, u, p, frozenset({t, u}), frozenset({p, TracePair(u, t)})):
+        for make in copies:
+            twin = make(value)
+            assert twin == value and _types(twin) == _types(value), (value, twin)
+    mismatch = Verdict(Seq(A, B), frozenset({t}), frozenset({u}))
+    for verdict in (check_lemma(7, (Pair(THROW, SKIP),)), mismatch):
+        twin = copy.deepcopy(verdict)
+        assert twin == verdict and twin.term is verdict.term and _types(twin) == _types(verdict)
+
+
+def test_an_unpickled_trace_is_checked_again():
+    forged = unchecked_trace((("1x",), Terminal.TICK))
+    for n in range(pickle.HIGHEST_PROTOCOL + 1):
+        with pytest.raises(ValueError, match="invalid event name: '1x'"):
+            pickle.loads(pickle.dumps(forged, n))
+    with pytest.raises(ValueError, match="invalid event name: '1x'"):
+        copy.deepcopy(forged)
 
 
 def test_trace_token_round_trip():
