@@ -49,6 +49,7 @@ from .terms import (
     TracePair,
     Yield,
     check_kind,
+    unchecked_pair,
     unchecked_trace,
 )
 
@@ -133,7 +134,7 @@ def pair_traces(p: Trace, q: Trace) -> TracePair:
     """Compensation pairing on traces: the compensation is installed only
     when the forward trace succeeds."""
     _, terminal = p
-    return TracePair(p, q if terminal is _TICK else _TICK_TRACE)
+    return unchecked_pair((p, q if terminal is _TICK else _TICK_TRACE))
 
 
 def block_traces(p: Trace, compensation: Trace) -> frozenset[Trace]:
@@ -186,7 +187,7 @@ def lift_cseq(left: frozenset[TracePair], right: frozenset[TracePair]) -> frozen
         lf, lc = lp
         _, terminal = lf
         if terminal is _TICK:
-            out += (TracePair(seq_traces(lf, rf), seq_traces(rc, lc)) for rf, rc in right)
+            out += (unchecked_pair((seq_traces(lf, rf), seq_traces(rc, lc))) for rf, rc in right)
         else:
             out.append(lp)
     return frozenset(out)
@@ -195,7 +196,7 @@ def lift_cseq(left: frozenset[TracePair], right: frozenset[TracePair]) -> frozen
 def lift_cpar(left: frozenset[TracePair], right: frozenset[TracePair]) -> frozenset[TracePair]:
     """The `CPar` clause: `par_traces` on forwards and on compensations."""
     return frozenset(
-        TracePair(t, t2)
+        unchecked_pair((t, t2))
         for lf, lc in left
         for rf, rc in right
         for t in par_traces(lf, rf)

@@ -456,11 +456,11 @@ class LemmaSuiteResult:
     lemma: int
     name: str
     total: int = 0
-    equal: int = 0
     failures: list[tuple] = field(default_factory=list)  # operand tuples
     #: tuples counted per key of the law's coverage probe (`LAWS`): the
     #: branches of law 3's condition, law 6's forward throws
     coverage: dict[str, int] = field(default_factory=dict)
+    equal = property(lambda self: self.total - len(self.failures), doc="Tuples the law held on.")
 
 
 def run_lemma_suite(
@@ -484,9 +484,7 @@ def run_lemma_suite(
         operands = tuple(_generate(r, rng.getrandbits(63)) for r in recipes)
         verdict = check_lemma(lemma, operands)
         result.total += 1
-        if verdict.is_equal:
-            result.equal += 1
-        else:
+        if not verdict.is_equal:
             result.failures.append(operands)
         for key in sorted(probe(*operands) if probe else ()):
             result.coverage[key] = result.coverage.get(key, 0) + 1

@@ -48,6 +48,7 @@ from .terms import (
     Yield,
     check_kind,
     pretty_print,
+    unchecked_pair,
     unchecked_trace,
 )
 
@@ -269,7 +270,7 @@ def derived_traces_compensable(term: CompensableTerm) -> frozenset[TracePair]:
     check_kind(term, CompensableTerm)
     limit = len(_RUNS) + STATE_CAP
     return frozenset(
-        TracePair(t, t2)
+        unchecked_pair((t, t2))
         for t, banked in _runs(term, limit)
         for t2 in _runs(banked, limit)
     )

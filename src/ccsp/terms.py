@@ -413,10 +413,10 @@ RESERVED_WORDS = frozenset(STANDARD_KEYWORDS.keys() | COMPENSABLE_KEYWORDS.keys(
 
 def subterms(term: StandardTerm | CompensableTerm) -> Iterator[StandardTerm | CompensableTerm]:
     """Yield `term` and every nested subterm, preorder."""
+    check_kind(term, _Node)  # the only check needed: the loop pushes only nodes
     stack = [term]
     while stack:
         t = stack.pop()
-        check_kind(t, _Node)
         yield t
         # Push the operands right to left so the leftmost comes out first.
         operands = (getattr(t, name) for name in reversed(t._fields))
@@ -621,20 +621,18 @@ class Trace(_Observation):
     __repr__ = __str__
 
 
-#: Build a `Trace` from the tuple ``(events, terminal)`` without checking
-#: it: for loops whose events are a tuple and whose terminal is a
-#: `Terminal` by construction.  Everything else calls `Trace`.
-unchecked_trace = partial(tuple.__new__, Trace)
-
-
 class TracePair(_Observation):
     """Observation of a compensable process: forward trace plus the trace
     of the compensation that would run afterwards.  The tuple
-    ``(forward, compensation)``, so it equals that plain tuple."""
+    ``(forward, compensation)``, so it equals that plain tuple.  Each half
+    must be a `Trace` (`TypeError`)."""
 
     __slots__ = ()
 
     def __new__(cls, forward: Trace, compensation: Trace):
+        for t in (forward, compensation):
+            if not isinstance(t, Trace):
+                raise TypeError(f"not a trace: {t!r}")
         return tuple.__new__(cls, (forward, compensation))
 
     forward = property(itemgetter(0), doc="The forward `Trace`.")
@@ -648,6 +646,13 @@ class TracePair(_Observation):
         return f"({self.forward},{self.compensation})"
 
     __repr__ = __str__
+
+
+#: Build a `Trace` from ``(events, terminal)``, or a `TracePair` from
+#: ``(forward, compensation)``, unchecked: for loops whose parts have the
+#: right types by construction.  Everything else calls the constructors.
+unchecked_trace = partial(tuple.__new__, Trace)
+unchecked_pair = partial(tuple.__new__, TracePair)
 
 
 def trace(*parts: str) -> Trace:

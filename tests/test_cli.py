@@ -587,12 +587,23 @@ def test_prop_lemmas_prints_the_operands_a_law_fails_on(seq_mutant):
          "FAIL 0000 std YIELD |> b\n  healthiness violated\n"
          "FAIL 0001 std a ; THROW\n  healthiness violated\n"
          "equal 2/2\nhealthy 0/2\n"),
+        # Every law holds, and the campaign's failure still sets the exit code.
+        (["prop", "--seed", "2", "--cases", "2", "--max-depth", "2", "--kind", "std",
+          "--lemmas", "--lemma-cases", "3"],
+         "prop seed=2 cases=2 max-depth=2 alphabet=a,b kind=std\n"
+         "FAIL 0000 std YIELD |> b\n  healthiness violated\n"
+         "FAIL 0001 std a ; THROW\n  healthiness violated\n"
+         "equal 2/2\nhealthy 0/2\n"
+         "lemma 1 seq-standard 3/3 equal\nlemma 2 par-standard 3/3 equal\n"
+         "lemma 3 seq-forward 3/3 equal cond-false=1 cond-true=3\n"
+         "lemma 4 aux-removal 3/3 equal\nlemma 5 par-forward 3/3 equal\n"
+         "lemma 6 pair 3/3 equal\nlemma 7 block 3/3 equal\nlemmas equal 21/21\n"),
         (["enumerate", "--max-ops", "0", "--alphabet", "a", "--check"],
          "enumerate max-ops=0 alphabet=a kind=std check=true\n"
          "UNHEALTHY a\nUNHEALTHY SKIP\nUNHEALTHY THROW\nUNHEALTHY YIELD\n"
          "ops 0: 4 terms, 4 equal\ntotal 4 terms, 4 equal, 0 mismatches\nhealthy 0/4\n"),
     ],
-    ids=["prop", "enumerate"],
+    ids=["prop", "prop-lemmas", "enumerate"],
 )
 def test_an_unhealthy_trace_set_fails_the_campaign(monkeypatch, argv, expected):
     monkeypatch.setattr(equivalence, "check_healthiness", lambda term: False)

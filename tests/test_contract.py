@@ -106,6 +106,9 @@ _A = Atom("a")
         (lambda: ccsp.terms.trace_tokens(("a", "*")), TypeError, "not a trace: ('a', '*')"),
         (lambda: ccsp.terms.pair_tokens((trace("*"), "*")), TypeError, "not a trace: '*'"),
         (lambda: ccsp.terms.pair_tokens(trace("*")), TypeError, "not a trace: ()"),
+        (lambda: ccsp.TracePair("x", None), TypeError, "not a trace: 'x'"),
+        (lambda: ccsp.TracePair(trace("*"), (("a",), None)), TypeError,
+         "not a trace: (('a',), None)"),
         (lambda: ccsp.seq_traces("", trace("*")), ValueError, "not enough values"),
         (lambda: ccsp.lift_par({trace("*")}, {"a"}), ValueError, "not enough values"),
         (lambda: ccsp.terms.check_alphabet("ab"), TypeError, "not a string: 'ab'"),

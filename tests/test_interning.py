@@ -30,8 +30,11 @@ from ccsp.terms import (
     Terminal,
     Throw,
     Trace,
+    TracePair,
     Yield,
     term_depth,
+    trace,
+    unchecked_pair,
     unchecked_trace,
 )
 
@@ -119,3 +122,6 @@ def test_unchecked_trace_builds_the_checked_value():
         assert type(built) is Trace
         assert built == Trace(events, terminal) and built.events == events
         assert built.terminal is terminal
+    t, u = trace("a", "!"), trace("*")
+    pair = unchecked_pair((t, u))
+    assert type(pair) is TracePair and pair == TracePair(t, u)

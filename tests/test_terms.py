@@ -33,6 +33,7 @@ from ccsp.terms import (
     is_event_name,
     pair_tokens,
     pretty_print,
+    subterms,
     term_depth,
     term_op_count,
     term_weight,
@@ -345,6 +346,23 @@ def test_an_unpickled_trace_is_checked_again():
             pickle.loads(pickle.dumps(forged, n))
     with pytest.raises(ValueError, match="invalid event name: '1x'"):
         copy.deepcopy(forged)
+
+
+def test_an_unpickled_trace_pair_is_checked_again():
+    forged = tuple.__new__(TracePair, ("x", trace("*")))
+    for n in range(pickle.HIGHEST_PROTOCOL + 1):
+        with pytest.raises(TypeError, match="not a trace: 'x'"):
+            pickle.loads(pickle.dumps(forged, n))
+    with pytest.raises(TypeError, match="not a trace: 'x'"):
+        copy.deepcopy(forged)
+
+
+def test_subterms_refuses_a_non_term_at_its_first_step():
+    walk = subterms("x")  # a generator checks nothing until it runs
+    with pytest.raises(TypeError, match="not a process term: 'x'"):
+        next(walk)
+    term = Seq(A, Par(B, SKIP))
+    assert list(subterms(term)) == [term, A, Par(B, SKIP), B, SKIP]
 
 
 def test_trace_token_round_trip():

@@ -11,8 +11,11 @@ or `DIFF` per argv and exits 1 on any difference.  The list: two
 one-event alphabet `a` at `--max-ops 2` that reach each branch of the
 enumerator's walk (standard; compensable with `--max-pair-ops 0`, which
 skips pairs; compensable with `--max-pair-ops 1`), `enumerate` with
-each kind of bad `--alphabet` (empty, repeated, malformed, reserved), a seeded
-`prop --lemmas` campaign at `--max-depth 5` and four shorter ones at
+each kind of bad `--alphabet` (empty, repeated, malformed, reserved),
+`enumerate --max-ops 0 --alphabet a --check` (a one-level tally), a seeded
+`prop --lemmas` campaign at `--max-depth 5`, the law suites alone
+(`prop --seed 42 --cases 0 --lemmas --max-depth 4`, a campaign of no
+cases, as in the acceptance table), four shorter campaigns at
 depths 1, 2, 3 and 8 (leaf-only, shallow and deep generator tables),
 `prop` with `--kind std` and with `--kind comp` (each case's kind label),
 `prop --seed 3 --cases 200 --max-depth 4`, `example warehouse`, `lts` and
@@ -57,7 +60,9 @@ def argvs() -> list[list[str]]:
            "--max-pair-ops", cap] for cap in ("0", "1")),
         *(["enumerate", "--max-ops", "0", "--alphabet", text]
           for text in (",", "a,a", "a,1x", "THROW")),
+        ["enumerate", "--max-ops", "0", "--alphabet", "a", "--check"],
         ["prop", "--seed", "42", "--cases", "2000", "--max-depth", "5", "--lemmas"],
+        ["prop", "--seed", "42", "--cases", "0", "--lemmas", "--max-depth", "4"],
         *(["prop", "--seed", "7", "--cases", "300", "--max-depth", str(depth), "--kind", "both",
            "--lemmas", "--lemma-cases", "50"] for depth in (1, 2, 3, 8)),
         *(["prop", "--seed", "7", "--cases", "300", "--max-depth", "4", "--kind", kind]
