@@ -38,6 +38,7 @@ from .operational import (
     clear_caches as clear_step_memos,
     derived_traces_compensable,
     derived_traces_standard,
+    forgetting,
 )
 from .parser import ParseError, parse_compensable, parse_standard
 from .terms import (
@@ -220,11 +221,15 @@ def _cmd_traces(args) -> int:
     term = _validated_term(args)
     std = args.kind == "std"
     sets = {}
-    if args.semantics in ("denotational", "both"):
-        sets["denotational"] = traces_standard(term) if std else traces_compensable(term)
-    if args.semantics in ("operational", "both"):
+    # The walk runs first and is dropped before the trace semantics runs;
+    # the denotational set still prints first.
+    if args.semantics != "denotational":
         derived = derived_traces_standard if std else derived_traces_compensable
-        sets["operational"] = derived(term)
+        with forgetting():
+            sets["operational"] = derived(term)
+    if args.semantics != "operational":
+        traces = traces_standard if std else traces_compensable
+        sets = {"denotational": traces(term), **sets}
     if args.format == "machine":
         record = {
             "command": "traces",

@@ -132,7 +132,10 @@ def par_traces(p: Trace, q: Trace) -> frozenset[Trace]:
 
 def pair_traces(p: Trace, q: Trace) -> TracePair:
     """Compensation pairing on traces: the compensation is installed only
-    when the forward trace succeeds."""
+    when the forward trace succeeds.  A half that is not a `Trace` is the
+    `TypeError` that `TracePair` gives."""
+    if not (isinstance(p, Trace) and isinstance(q, Trace)):
+        TracePair(p, q)  # raises
     _, terminal = p
     return unchecked_pair((p, q if terminal is _TICK else _TICK_TRACE))
 

@@ -2,7 +2,9 @@
 
 `check_standard` / `check_compensable` compare the derived traces of a term
 (read off its maximal operational runs) with its compositional trace set,
-by exact set equality in both directions.  `check_lemma` does the same for
+by exact set equality in both directions, dropping the operational walk
+before the trace semantics runs; `check_terms`, for loops over many terms,
+keeps memo entries the terms share.  `check_lemma` does the same for
 the seven decomposition laws relating lifted runs of a composite term to
 trace-level operators over the runs of its parts, one law per operator.
 Each law is one row of `LAWS`: its composite's constructor, the runs it
@@ -99,12 +101,19 @@ def _verdict(term, ours: frozenset, theirs: frozenset) -> Verdict:
 
 
 def check_standard(term: StandardTerm) -> Verdict:
-    """Exact two-way comparison of derived and compositional traces."""
-    return _verdict(term, derived_traces_standard(term), traces_standard(term))
+    """Exact two-way comparison of derived and compositional traces.  The
+    walk's memo entries are dropped before the trace semantics runs, so the
+    heap never holds both; loops should use `check_terms`, which keeps them."""
+    with operational.forgetting():
+        derived = derived_traces_standard(term)
+    return _verdict(term, derived, traces_standard(term))
 
 
 def check_compensable(term: CompensableTerm) -> Verdict:
-    return _verdict(term, derived_traces_compensable(term), traces_compensable(term))
+    """`check_standard` for a compensable term's trace pairs."""
+    with operational.forgetting():
+        derived = derived_traces_compensable(term)
+    return _verdict(term, derived, traces_compensable(term))
 
 
 # ---------------------------------------------------------------------------
@@ -414,14 +423,18 @@ def _release(*terms: StandardTerm | CompensableTerm) -> None:
 def check_terms(
     terms: Iterable[StandardTerm | CompensableTerm],
 ) -> Iterator[tuple[StandardTerm | CompensableTerm, Verdict, bool]]:
-    """`(term, verdict, healthy)` for each term, checked by its kind.  Once
-    the consumer has taken an item, the term's own memo entries are dropped,
+    """`(term, verdict, healthy)` for each term, checked by its kind.  The
+    terms share their subterms' and successors' memo entries; once the
+    consumer has taken an item, only the term's own entries are dropped,
     and a block's body's too (`enumerate_terms` streams block bodies, so
     no later term uses them), then the memo tables are trimmed if they are
     still large."""
     for term in terms:
-        check = check_compensable if isinstance(term, CompensableTerm) else check_standard
-        yield term, check(term), check_healthiness(term)
+        if isinstance(term, CompensableTerm):
+            verdict = _verdict(term, derived_traces_compensable(term), traces_compensable(term))
+        else:
+            verdict = _verdict(term, derived_traces_standard(term), traces_standard(term))
+        yield term, verdict, check_healthiness(term)
         _release(term)
 
 

@@ -11,7 +11,8 @@ that orders steps canonically.
 Lifting single steps over event sequences gives runs; the derived traces
 of a term are the labels of its maximal runs.  Both are computed by
 exhaustive exploration, which terminates because every step strictly
-decreases `term_weight`.  Exploration shares memo tables across calls.  A
+decreases `term_weight`.  Exploration shares memo tables across calls,
+unless made inside `forgetting`, which drops what one walk added.  A
 freshly explored state is one new entry in the run table, and one call may
 add at most `STATE_CAP` of them (`build_lts` may hold as many nodes), so
 that pathological terms fail loudly instead of thrashing.
@@ -19,6 +20,7 @@ that pathological terms fail loudly instead of thrashing.
 from __future__ import annotations
 
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Union
 
@@ -314,11 +316,9 @@ def _dot_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def _step_key(item: Step):
-    label, succ = item
-    if isinstance(label, str):
-        return (1, 0, label, pretty_print(succ))
-    return (0, label.value, "", pretty_print(succ))
+def _label_key(item: Step):
+    label = item[0]
+    return (1, label) if isinstance(label, str) else (0, label.value)
 
 
 def build_lts(term: LtsNode) -> Lts:
@@ -342,7 +342,12 @@ def build_lts(term: LtsNode) -> Lts:
         node = queue.popleft()
         if isinstance(node, Null):
             continue
-        for label, succ in sorted(step(node), key=_step_key):
+        steps = step(node)
+        # Successors are rendered only when labels tie; the stable sort by
+        # label keeps their rendering order.
+        if len({label for label, _ in steps}) < len(steps):
+            steps = sorted(steps, key=lambda item: pretty_print(item[1]))
+        for label, succ in sorted(steps, key=_label_key):
             if succ not in nodes:
                 nodes[succ] = None
                 queue.append(succ)
@@ -355,6 +360,20 @@ def forget(term: StandardTerm | CompensableTerm) -> None:
     its subterms or successors."""
     _STEPS.pop(term, None)
     _RUNS.pop(term, None)
+
+
+@contextmanager
+def forgetting():
+    """Drop every memo entry added inside the block when it ends or raises
+    (say, `StateCapExceeded`).  A walk only inserts, so its entries are the
+    tables' tails, popped back to the sizes read on entry."""
+    sizes = [(table, len(table)) for table in (_STEPS, _RUNS)]
+    try:
+        yield
+    finally:
+        for table, size in sizes:
+            while len(table) > size:
+                table.popitem()
 
 
 def clear_caches() -> None:

@@ -111,6 +111,22 @@ def test_term_too_large_to_explore_exits_one(argv, monkeypatch):
     assert invoke(["check", "a ; b"])[0] == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["check"], ["traces", "--semantics", "both"],
+     ["check", "--kind", "comp"], ["traces", "--kind", "comp", "--semantics", "both"]],
+    ids=["check", "traces", "check-comp", "traces-comp"],
+)
+def test_state_cap_stops_a_one_term_command_before_the_trace_semantics(argv, monkeypatch):
+    # The operational walk runs first, so no trace set is built.
+    monkeypatch.setattr(operational, "STATE_CAP", 32)
+    term = " || ".join(f"{e} % {e}'" if "comp" in argv else e for e in "abcdef")
+    code, out, err = invoke([*argv, term])
+    assert (code, out) == (1, "")
+    assert err == "error: state cap exceeded: more than 32 states explored\n"
+    assert denotational.cache_size() == 0
+
+
 # Right-nested chains, as deep as the bracket limit lets them be.
 _RIGHT_CHAINS = {
     name: f" {op} (".join(leaves[:MAX_NESTING + 1]) + ")" * MAX_NESTING

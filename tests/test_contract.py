@@ -109,6 +109,9 @@ _A = Atom("a")
         (lambda: ccsp.TracePair("x", None), TypeError, "not a trace: 'x'"),
         (lambda: ccsp.TracePair(trace("*"), (("a",), None)), TypeError,
          "not a trace: (('a',), None)"),
+        (lambda: ccsp.pair_traces(trace("*"), "x"), TypeError, "not a trace: 'x'"),
+        (lambda: ccsp.pair_traces(trace("!"), "x"), TypeError, "not a trace: 'x'"),
+        (lambda: ccsp.lift_pair({trace("*")}, {"x"}), TypeError, "not a trace: 'x'"),
         (lambda: ccsp.seq_traces("", trace("*")), ValueError, "not enough values"),
         (lambda: ccsp.lift_par({trace("*")}, {"a"}), ValueError, "not enough values"),
         (lambda: ccsp.terms.check_alphabet("ab"), TypeError, "not a string: 'ab'"),

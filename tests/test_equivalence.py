@@ -18,7 +18,7 @@ from ccsp.equivalence import (
     run_lemma_suite,
     run_prop_campaign,
 )
-from ccsp.operational import build_lts, run_lifted
+from ccsp.operational import StateCapExceeded, build_lts, derived_traces_standard, run_lifted
 from ccsp.terms import (
     SKIP,
     THROW,
@@ -526,6 +526,37 @@ def test_check_terms_leaves_few_memo_entries(args, limit):
     for _ in check_terms(enumerate_terms(*args)):
         pass
     assert operational.cache_size() + denotational.cache_size() < limit
+
+
+@pytest.mark.parametrize(
+    "term",
+    [
+        Par(Seq(A, B), Seq(Atom("c"), Atom("d"))),
+        Block(CSeq(Pair(A, Atom("a'")), Pair(THROW, SKIP))),
+        CPar(CSeq(Pair(A, Atom("a'")), Pair(B, Atom("b'"))), Pair(Atom("c"), Atom("d"))),
+    ],
+    ids=["std", "block", "comp"],
+)
+def test_one_term_check_drops_its_walk(term):
+    # Entries of an earlier walk stay; the check's own walk leaves none.
+    run_lifted(Seq(B, A), trace("b", "a", "*"))
+    before = operational.cache_size()
+    assert before > 0
+    check = check_compensable if isinstance(term, CompensableTerm) else check_standard
+    verdict = check(term)
+    assert operational.cache_size() == before
+    assert verdict.is_equal
+    assert [verdict] == [v for _, v, _ in check_terms([term])]
+
+
+def test_forgetting_drops_a_walk_stopped_by_the_state_cap(monkeypatch):
+    derived_traces_standard(Seq(A, B))
+    before = dict(operational._STEPS), dict(operational._RUNS)
+    monkeypatch.setattr(operational, "STATE_CAP", 5)
+    with pytest.raises(StateCapExceeded):
+        with operational.forgetting():
+            derived_traces_standard(Par(Par(A, B), Par(Atom("c"), Atom("d"))))
+    assert (operational._STEPS, operational._RUNS) == before
 
 
 def test_check_terms_gives_the_same_verdicts_twice_in_a_row():

@@ -28,6 +28,7 @@ from ccsp.terms import (
     Block,
     CPar,
     CSeq,
+    Choice,
     Interrupt,
     MAX_DEPTH,
     Null,
@@ -38,6 +39,7 @@ from ccsp.terms import (
     Trace,
     StandardTerm,
     TracePair,
+    pretty_print,
     term_depth,
     trace,
 )
@@ -411,6 +413,35 @@ def test_no_step_makes_a_term_deeper(seed, kind):
     term = gen_term(GenConfig(seed=seed, max_depth=4, alphabet=("a", "b"), kind=kind))
     for src, _, dst in build_lts(term).edges:
         assert term_depth(dst) <= term_depth(src)
+
+
+def _full_step_key(item):
+    label, succ = item
+    if isinstance(label, str):
+        return (1, 0, label, pretty_print(succ))
+    return (0, label.value, "", pretty_print(succ))
+
+
+@given(_seeds, st.sampled_from(["std", "comp"]))
+def test_lts_orders_each_nodes_steps_by_label_then_rendering(seed, kind):
+    term = gen_term(GenConfig(seed=seed, max_depth=4, alphabet=("a", "b"), kind=kind))
+    lts = build_lts(term)
+    for node in lts.nodes:
+        if not isinstance(node, Null):
+            edges = [(label, dst) for src, label, dst in lts.edges if src is node]
+            assert edges == sorted(step(node), key=_full_step_key)
+
+
+def test_lts_renders_successors_only_to_break_label_ties(monkeypatch):
+    rendered = []
+    monkeypatch.setattr(operational, "pretty_print",
+                        lambda t, render=pretty_print: rendered.append(t) or render(t))
+    build_lts(Par(Par(A, B), Par(Atom("c"), Atom("d"))))
+    assert rendered == []
+    # Both branches start with `a`: their successors are rendered to order them.
+    lts = build_lts(Choice(Seq(A, B), Seq(A, A)))
+    assert set(rendered) == {Seq(SKIP, A), Seq(SKIP, B)}
+    assert [dst for src, _, dst in lts.edges if src is lts.nodes[0]] == [Seq(SKIP, A), Seq(SKIP, B)]
 
 
 _DEEPEST = {

@@ -1,5 +1,5 @@
 """Print the acceptance table: exit code, wall time and peak RSS of the
-four acceptance workloads.
+five acceptance workloads.
 
     python3 tools/acceptance.py [CHECKOUT ...] [--runs N]
 
@@ -39,6 +39,9 @@ WORKLOADS = {
              ["prop", "--seed", "42", "--cases", "2000", "--max-depth", "5"]),
     "laws": ("laws 1-7, 500 tuples each, depth 4",
              ["prop", "--seed", "42", "--cases", "0", "--lemmas", "--max-depth", "4"]),
+    "check": ("largest one-term check, two 9-event chains in parallel",
+              ["check", "(x0 ; x1 ; x2 ; x3 ; x4 ; x5 ; x6 ; x7 ; x8)"
+                        " || (y0 ; y1 ; y2 ; y3 ; y4 ; y5 ; y6 ; y7 ; y8)"]),
 }
 
 #: Runs in the child: one `cli.run` call, then its figures as one JSON line.
@@ -97,7 +100,8 @@ def main() -> int:
         for checkout in checkouts:
             runs = results[checkout, name]
             codes = ",".join(sorted({str(r["code"]) for r in runs}))
-            print(f"| {checkout} | {label} | `{' '.join(argv)}` | {codes} | "
+            shown = " ".join(argv).replace("|", "\\|")  # a `|` would end the cell
+            print(f"| {checkout} | {label} | `{shown}` | {codes} | "
                   f"{span([r['wall_s'] for r in runs], '.1f')} s | "
                   f"{span([r['rss_mib'] for r in runs], '.0f')} MiB |")
     print()
