@@ -2,10 +2,11 @@
 
 Operators are defined first on individual traces, then lifted pointwise to
 sets: one set operator per clause (`lift_seq`, `lift_par`, `lift_interrupt`,
-`lift_block`, `lift_pair`, `lift_cseq`, `lift_cpar`; choice is union).  A
-standard process denotes a set of traces; a compensable process denotes a
-set of trace pairs (forward trace, compensation trace).  The decomposition
-laws in `ccsp.equivalence` apply the same set operators to derived traces.
+`lift_block`, `lift_pair`, `lift_cseq`, `lift_cpar`; choice is union), and
+`CLAUSES` maps each composite node class to its clause.  A standard
+process denotes a set of traces; a compensable process denotes a set of
+trace pairs (forward trace, compensation trace).  The decomposition laws
+in `ccsp.equivalence` apply the same `CLAUSES` to derived traces.
 
 The rules in one breath:
 
@@ -207,6 +208,22 @@ def lift_cpar(left: frozenset[TracePair], right: frozenset[TracePair]) -> frozen
     )
 
 
+#: The clause of each composite node class: its set operator, applied to
+#: its operands' sets in field order.  Choice is union.  The decomposition
+#: laws in `ccsp.equivalence` apply the same operators to derived sets.
+CLAUSES = {
+    Seq: lift_seq, Choice: frozenset.union, Par: lift_par, Interrupt: lift_interrupt,
+    Block: lift_block, Pair: lift_pair, CSeq: lift_cseq, CChoice: frozenset.union, CPar: lift_cpar,
+}
+
+#: The trace sets of the constant leaves; an atom's is its one-event trace.
+_LEAVES = {
+    Skip: frozenset((Trace((), _TICK),)),
+    Throw: frozenset((Trace((), _THROW),)),
+    Yield: frozenset((Trace((), _YIELD), Trace((), _TICK))),
+}
+
+
 # ---------------------------------------------------------------------------
 # Semantic functions
 # ---------------------------------------------------------------------------
@@ -221,38 +238,24 @@ def _traces(term: StandardTerm | CompensableTerm) -> frozenset:
     hit = _TRACES.get(term)
     if hit is not None:
         return hit
-    # Composites first: a leaf misses the table only on its first visit.
-    match term:
-        case Pair(f, c):
-            out = lift_pair(_traces(f), _traces(c))
-        case CSeq(l, r):
-            out = lift_cseq(_traces(l), _traces(r))
-        case CPar(l, r):
-            out = lift_cpar(_traces(l), _traces(r))
-        case Seq(l, r):
-            out = lift_seq(_traces(l), _traces(r))
-        case Choice(l, r) | CChoice(l, r):
-            out = _traces(l) | _traces(r)
-        case Par(l, r):
-            out = lift_par(_traces(l), _traces(r))
-        case Interrupt(l, r):
-            out = lift_interrupt(_traces(l), _traces(r))
-        case Block(body):
-            out = lift_block(_traces(body))
-        case Atom(e):
-            out = frozenset((Trace((e,), _TICK),))
-        case Skip():
-            out = frozenset((Trace((), _TICK),))
-        case Throw():
-            out = frozenset((Trace((), _THROW),))
-        case Yield():
-            out = frozenset((Trace((), _YIELD), Trace((), _TICK)))
-        case Null():
-            raise ValueError("the null process has no denotation")
-        case Aux():
-            raise ValueError("the auxiliary construct has no denotation")
-        case _:
-            raise TypeError(f"not a process term: {term!r}")
+    cls = type(term)
+    if (clause := CLAUSES.get(cls)) is not None:
+        # A plain loop: a comprehension would add a frame a level, and
+        # recursing through `map` raised the enumerations' peak RSS.
+        sets = []
+        for name in cls._fields:
+            sets.append(_traces(getattr(term, name)))
+        out = clause(*sets)
+    elif cls in _LEAVES:
+        out = _LEAVES[cls]
+    elif cls is Atom:
+        out = frozenset((Trace((term.event,), _TICK),))
+    elif cls is Null:
+        raise ValueError("the null process has no denotation")
+    elif cls is Aux:
+        raise ValueError("the auxiliary construct has no denotation")
+    else:
+        raise TypeError(f"not a process term: {term!r}")
     _TRACES[term] = out
     return out
 

@@ -9,14 +9,15 @@ the seven decomposition laws relating lifted runs of a composite term to
 trace-level operators over the runs of its parts, one law per operator.
 Each law is one row of `LAWS`: its composite's constructor, the runs it
 compares, its formula over the operands and its coverage probe.  Laws 1,
-2, 6 and 7 reuse the trace semantics' one set operator per clause
-(`lift_seq`, `lift_par`, `lift_pair`, `lift_block`) over derived sets, so
-a fault in a clause shows up in its law; laws 3-5 relate forward outcomes.
-Neither semantics imports the other or this module.
+2, 6 and 7 have no formula: each is its constructor's clause in
+`denotational.CLAUSES` over derived sets, so a fault in a clause shows up
+in its law; laws 3-5 relate forward outcomes.  Neither semantics imports
+the other or this module.
 
 Terms come from either a seeded random generator or an exhaustive
 enumerator of all user terms up to an operator budget, so the equality can
-be tested both broadly and completely at desk scale.
+be tested both broadly and completely at desk scale.  Both take the binary
+operators in the row order of `terms.BINARY_OPERATORS`.
 """
 from __future__ import annotations
 
@@ -30,11 +31,8 @@ from typing import Callable, Iterable, Iterator
 
 from . import denotational, operational
 from .denotational import (
+    CLAUSES,
     check_healthiness,
-    lift_block,
-    lift_pair,
-    lift_par,
-    lift_seq,
     par_traces,
     seq_traces,
     traces_compensable,
@@ -42,16 +40,14 @@ from .denotational import (
 )
 from .operational import derived_forward, derived_traces_compensable, derived_traces_standard
 from .terms import (
+    BINARY_OPERATORS,
     Atom,
     Aux,
     Block,
-    CChoice,
     CompensableTerm,
     CPar,
     CSeq,
-    Choice,
     Event,
-    Interrupt,
     Pair,
     Par,
     SKIP,
@@ -165,20 +161,18 @@ def _forward_throws(p, q):
 
 
 #: law id -> (name, operand kinds, composite constructor, runs, formula over
-#: the operands, coverage probe or None).  Laws 1, 2, 6 and 7 lift the
-#: operands' derived traces by the trace semantics' clause for the constructor.
-LAWS: dict[int, tuple[str, tuple[str, ...], type, Callable, Callable, Callable | None]] = {
-    1: ("seq-standard", ("std", "std"), Seq, _derived,
-        lambda *ops: lift_seq(*map(_derived, ops)), None),
-    2: ("par-standard", ("std", "std"), Par, _derived,
-        lambda *ops: lift_par(*map(_derived, ops)), None),
+#: the operands or None, coverage probe or None).  A law with no formula
+#: (1, 2, 6 and 7) is its constructor's trace clause (`CLAUSES`) over the
+#: operands' derived sets.
+LAWS: dict[int, tuple[str, tuple[str, ...], type, Callable, Callable | None, Callable | None]] = {
+    1: ("seq-standard", ("std", "std"), Seq, _derived, None, None),
+    2: ("par-standard", ("std", "std"), Par, _derived, None, None),
     3: ("seq-forward", ("comp", "comp"), CSeq, _forward, _seq_forward, _cond_branches),
     4: ("aux-removal", ("comp", "std"), Aux, _forward,
         lambda qq, p: frozenset((t, Seq(banked, p)) for t, banked in derived_forward(qq)), None),
     5: ("par-forward", ("comp", "comp"), CPar, _forward, _par_forward, None),
-    6: ("pair", ("std", "std"), Pair, _derived,
-        lambda *ops: lift_pair(*map(_derived, ops)), _forward_throws),
-    7: ("block", ("comp",), Block, _derived, lambda *ops: lift_block(*map(_derived, ops)), None),
+    6: ("pair", ("std", "std"), Pair, _derived, None, _forward_throws),
+    7: ("block", ("comp",), Block, _derived, None, None),
 }
 
 
@@ -206,7 +200,8 @@ def check_lemma(lemma: int, operands: tuple) -> Verdict:
         if not isinstance(operand, StandardTerm if kind == "std" else CompensableTerm):
             raise ValueError(f"law {lemma} operand kinds are {kinds}")
     term = ctor(*operands)
-    return _verdict(term, runs(term), formula(*operands))
+    theirs = formula(*operands) if formula else CLAUSES[ctor](*map(_derived, operands))
+    return _verdict(term, runs(term), theirs)
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +256,11 @@ def _generate(recipe: GenConfig, seed: int) -> StandardTerm | CompensableTerm:
     return gen.std(recipe.max_depth, 0) if recipe.kind == "std" else gen.comp(recipe.max_depth, 0)
 
 
-#: What a weighted draw picks: the standard leaves, then the operators.
-_STD_NODES = (Atom, SKIP, THROW, YIELD, Seq, Choice, Par, Interrupt, Block)
-_COMP_NODES = (Pair, CSeq, CChoice, CPar)
+#: What a weighted draw picks: the leaves, then the binary operators in
+#: `BINARY_OPERATORS` order, then (standard only) blocks.
+_STD_LEAVES = (Atom, SKIP, THROW, YIELD)
+_STD_NODES = (*_STD_LEAVES, *(std for _, _, std, _ in BINARY_OPERATORS), Block)
+_COMP_NODES = (Pair, *(comp for *_, comp in BINARY_OPERATORS if comp))
 
 
 @functools.lru_cache(maxsize=64)  # one shared instance per max_depth
@@ -277,11 +274,12 @@ class _DrawTables(dict):
     def __missing__(self, key):
         compensable, remaining, par_depth = key
         if remaining <= 1:  # standard only: a compensable node here is a pair
-            nodes, ws = _STD_NODES[:4], [1.0] * 4
+            nodes, ws = _STD_LEAVES, [1.0] * len(_STD_LEAVES)
         else:  # leaves gain weight with depth, nested parallels lose it
             bias, par = (self.max_depth - remaining + 1) ** 2 / 4.0, 1.0 / 3.0 ** par_depth
-            nodes, ws = ((_COMP_NODES, [bias, 1.0, 1.0, par]) if compensable
-                         else (_STD_NODES, [bias] * 4 + [1.0, 1.0, par, 1.0, 1.0]))
+            nodes = _COMP_NODES if compensable else _STD_NODES
+            ws = [bias if node in _STD_LEAVES or node is Pair else par if node in (Par, CPar)
+                  else 1.0 for node in nodes]
         cum = list(accumulate(ws))
         self[key] = cell = (nodes, cum, cum[-1] + 0.0, len(cum) - 1)
         return cell
@@ -371,7 +369,8 @@ class _EnumWorld:
 
     def exact(self, compensable: bool, k: int) -> Iterator[StandardTerm | CompensableTerm]:
         """The terms of one kind with exactly `k` operators: atoms and the
-        constants or pairs first, then each binary operator, then blocks."""
+        constants or pairs first, then each binary operator in
+        `BINARY_OPERATORS` order, then blocks."""
         stored = self.stored
         if compensable:
             for i in range(k + 1):
@@ -380,7 +379,7 @@ class _EnumWorld:
         elif k == 0:
             yield from map(Atom, sorted(self.alphabet))
             yield from (SKIP, THROW, YIELD)
-        for ctor in (CSeq, CChoice, CPar) if compensable else (Seq, Choice, Par, Interrupt):
+        for ctor in filter(None, (ctors[compensable] for _, _, *ctors in BINARY_OPERATORS)):
             for i in range(k):
                 operands = stored(compensable, i), stored(compensable, k - 1 - i)
                 yield from starmap(ctor, product(*operands))

@@ -14,8 +14,9 @@ exhaustive exploration, which terminates because every step strictly
 decreases `term_weight`.  Exploration shares memo tables across calls,
 unless made inside `forgetting`, which drops what one walk added.  A
 freshly explored state is one new entry in the run table, and one call may
-add at most `STATE_CAP` of them (`build_lts` may hold as many nodes), so
-that pathological terms fail loudly instead of thrashing.
+add at most `STATE_CAP` of them (`build_lts` may hold as many nodes, and
+`run_lifted` add as many step entries), so that pathological terms fail
+loudly instead of thrashing.
 """
 from __future__ import annotations
 
@@ -198,13 +199,23 @@ def run_lifted(term: StandardTerm, t: Trace) -> bool:
     """Does the standard term have a run labelled exactly by `t`, a `Trace`
     or any ``(events, terminal)`` pair (anything else is a `TypeError`)?
     Follows the trace with the set of states reached after each event, so a
-    long trace costs no interpreter frames."""
+    long trace costs no interpreter frames.  Once the steps of the states it
+    takes add more than `STATE_CAP` entries to the step table, it raises
+    `StateCapExceeded`."""
     check_kind(term, StandardTerm)
     events, terminal = Trace(*t)
+    limit = len(_STEPS) + STATE_CAP
+
+    def steps(state):
+        out = step(state)
+        if len(_STEPS) > limit:
+            raise StateCapExceeded(STATE_CAP)
+        return out
+
     states = {term}
     for event in events:
-        states = {succ for state in states for label, succ in step(state) if label == event}
-    return any(label is terminal for state in states for label, _ in step(state))
+        states = {succ for state in states for label, succ in steps(state) if label == event}
+    return any(label is terminal for state in states for label, _ in steps(state))
 
 
 #: Each explored state's run outcomes: traces for a standard state, and

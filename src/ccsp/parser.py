@@ -49,9 +49,9 @@ from .terms import (
 )
 
 #: For the standard and the compensable grammar: operator symbol ->
-#: (binding level, loosest 0, constructor), for the operators it has.
+#: (binding level, constructor), for the operators it has.
 _INFIX = tuple(
-    {op: (level, ctors[k]) for level, (op, *ctors) in enumerate(BINARY_OPERATORS) if ctors[k]}
+    {op: (level, ctors[k]) for op, level, *ctors in BINARY_OPERATORS if ctors[k]}
     for k in (0, 1)
 )
 

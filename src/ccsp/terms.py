@@ -24,7 +24,9 @@ constructor returns it without a lookup.  Interning also sizes the term:
 its operator count, weight and depth are its class's share plus its
 operands' (already computed) sizes, so `term_op_count`, `term_weight` and
 `term_depth` are attribute reads.  A node deeper than `MAX_DEPTH` is
-refused before it is built (`ValueError`).
+refused before it is built (`ValueError`).  A copy of a term is the term,
+and a term pickles as its distinct nodes, operands first, and unpickles
+through the constructors to the live term itself.
 """
 from __future__ import annotations
 
@@ -139,6 +141,28 @@ class _Node:
 
     __copy__ = __deepcopy__
 
+    def __reduce__(self):
+        # Each distinct node once, operands first, on an explicit stack: a
+        # shared subterm costs one entry and a deep term no frames.  An entry
+        # is the node's class, then its event (`Atom`) or operands' indices.
+        index: dict[_Node, int] = {}
+        entries = []
+        stack = [self]
+        while stack:
+            node = stack[-1]
+            if node in index:
+                stack.pop()
+                continue
+            values = [getattr(node, name) for name in node._fields]
+            waiting = [v for v in values if isinstance(v, _Node) and v not in index]
+            if waiting:
+                stack += waiting
+                continue
+            stack.pop()
+            index[node] = len(entries)
+            entries.append((type(node), *(index.get(v, v) for v in values)))
+        return _unpickle_term, (tuple(entries),)
+
     def __repr__(self) -> str:
         # A stack of nodes and finished text, as in `_render`.
         parts: list[str] = []
@@ -154,6 +178,24 @@ class _Node:
                 layout += [", "] * (i > 0) + [value if isinstance(value, _Node) else repr(value)]
             todo += reversed(layout + [")"])
         return "".join(parts)
+
+
+def _unpickle_term(entries: tuple) -> _Node:
+    """The term `_Node.__reduce__` encoded, rebuilt entry by entry through the
+    interning constructors, which check kinds, arity, depth and event names
+    again.  An entry's operands must be earlier entries; the last is the term."""
+    built: list[_Node] = []
+    for cls, *args in entries:
+        if not (isinstance(cls, type) and issubclass(cls, _Node)):
+            raise TypeError(f"not a term class: {cls!r}")
+        if cls is not Atom:
+            if not all(type(i) is int and 0 <= i < len(built) for i in args):
+                raise ValueError(f"not earlier entries: {args!r}")
+            args = [built[i] for i in args]
+        built.append(cls(*args))
+    if not built:
+        raise ValueError("no term to rebuild")
+    return built[-1]
 
 
 class StandardTerm(_Node):
@@ -476,21 +518,21 @@ def validate_user_term(
 # Pretty-printing
 # ---------------------------------------------------------------------------
 
-#: The binary operators of the concrete syntax, loosest binding first, each
-#: with its standard and compensable constructor (None: standard only).  All
-#: are left-associative.  This is the one statement of their symbols and
-#: binding order: the parser's precedence loop and the printer both read it.
+#: The binary operators, one row each: symbol, binding level (higher binds
+#: tighter), standard and compensable constructor (None: standard only).
+#: All are left-associative.  The one statement of them: the parser and the
+#: printer read the levels, the enumerator and generator the row order.
 BINARY_OPERATORS = (
-    ("||", Par, CPar),
-    ("[]", Choice, CChoice),
-    ("|>", Interrupt, None),
-    (";", Seq, CSeq),
+    (";", 4, Seq, CSeq),
+    ("[]", 2, Choice, CChoice),
+    ("||", 1, Par, CPar),
+    ("|>", 3, Interrupt, None),
 )
 
 # `%` binds tighter than every binary operator, and its operands are
 # restricted to the atom level by the grammar, so pairs parenthesize any
 # operator operand.
-_LEVEL_PAIR = len(BINARY_OPERATORS) + 1
+_LEVEL_PAIR = max(level for _, level, *_ in BINARY_OPERATORS) + 1
 _LEVEL_ATOM = _LEVEL_PAIR + 1
 
 
@@ -509,11 +551,6 @@ def pretty_print(term: StandardTerm | CompensableTerm) -> str:
         return text
 
 
-def _binary(op: str, level: int) -> tuple[int, tuple]:
-    # Left-associative: the right operand needs strictly tighter binding.
-    return level, (("left", level), f" {op} ", ("right", level + 1))
-
-
 # Concrete syntax per node class: the level below which it needs brackets,
 # and its layout, where a `str` is literal text and a (field, level) pair a
 # field rendered at that minimum level.
@@ -524,12 +561,9 @@ _SYNTAX: dict[type, tuple[int, tuple]] = {
     Block: (_LEVEL_ATOM, ("[ ", ("body", 0), " ]")),
     Aux: (_LEVEL_ATOM, ("<", ("rest", 0), ", ", ("stored", 0), ">")),
     Pair: (_LEVEL_PAIR, (("forward", _LEVEL_ATOM), " % ", ("compensation", _LEVEL_ATOM))),
-    **{
-        cls: _binary(op, level)
-        for level, (op, *classes) in enumerate(BINARY_OPERATORS, 1)
-        for cls in classes
-        if cls is not None
-    },
+    # Left-associative: the right operand needs strictly tighter binding.
+    **{cls: (level, (("left", level), f" {op} ", ("right", level + 1)))
+       for op, level, *classes in BINARY_OPERATORS for cls in classes if cls is not None},
 }
 
 

@@ -36,7 +36,9 @@ from ccsp.terms import (
     Pair,
     Par,
     Seq,
+    Skip,
     Terminal,
+    Throw,
     Trace,
     TracePair,
     Yield,
@@ -90,6 +92,15 @@ def test_check_compensable_examples():
 
 def test_law_registry_shape():
     assert sorted(LAWS) == [1, 2, 3, 4, 5, 6, 7]
+    # Laws 1, 2, 6 and 7 are their constructor's trace clause, not a formula.
+    assert [lemma for lemma, (*_, formula, _) in LAWS.items() if formula is None] == [1, 2, 6, 7]
+
+
+def test_every_composite_has_one_trace_clause():
+    assert set(denotational.CLAUSES) == {
+        Seq, Choice, Par, Interrupt, Block, Pair, CSeq, CChoice, CPar,
+    }
+    assert denotational.CLAUSES[Choice] is denotational.CLAUSES[CChoice] is frozenset.union
 
 
 def test_check_lemma_examples():
@@ -400,6 +411,17 @@ def test_enumerate_counts_match_grammar_arithmetic():
     comp1 = 2 * leaves * std1 + 3 * pairs0 * pairs0
     comp_got = list(enumerate_terms(1, ("a",), "comp"))
     assert len(comp_got) == pairs0 + comp1
+
+
+def test_enumerate_takes_the_operators_in_table_order():
+    # Leaves or pairs first, then `;`, `[]`, `||` and `|>` as rows of
+    # `BINARY_OPERATORS`, then blocks; a reordered table fails here.
+    std = [type(t) for t in enumerate_terms(1, ("a",))]
+    leaves = [Atom, Skip, Throw, Yield]
+    binary = [Seq] * 16 + [Choice] * 16 + [Par] * 16 + [Interrupt] * 16
+    assert std == leaves + binary + [Block] * 16
+    comp = [type(t) for t in enumerate_terms(1, ("a",), "comp")]
+    assert comp == [Pair] * (16 + 2 * 4 * 80) + [CSeq] * 256 + [CChoice] * 256 + [CPar] * 256
 
 
 def test_enumerate_refuses_a_negative_pair_operand_cap():

@@ -213,6 +213,22 @@ def test_run_lifted_refuses_what_is_not_a_trace(t):
         run_lifted(A, t)
 
 
+def test_run_lifted_obeys_the_state_cap(monkeypatch):
+    # Six `a`s in parallel reach 64 states along `a`^6; each stepped state
+    # adds its step entries, which one call may add at most `STATE_CAP` of.
+    term = reduce(Par, [A] * 6)
+    t = Trace(("a",) * 6, Terminal.TICK)
+    monkeypatch.setattr(operational, "STATE_CAP", 50)
+    with pytest.raises(StateCapExceeded, match="more than 50 states"):
+        run_lifted(term, t)
+    clear_caches()
+    monkeypatch.setattr(operational, "STATE_CAP", 200)
+    assert run_lifted(term, t)
+    # Memo hits are free, so the same call on warm tables adds nothing.
+    monkeypatch.setattr(operational, "STATE_CAP", 0)
+    assert run_lifted(term, t)
+
+
 def test_run_lifted_follows_a_long_trace():
     # A balanced `;` tree of 512 events: two frames per event used to
     # exhaust the interpreter's stack.

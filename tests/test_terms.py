@@ -12,6 +12,7 @@ from ccsp.denotational import traces_compensable, traces_standard
 from ccsp.equivalence import GenConfig, Verdict, check_lemma, gen_term
 from ccsp.operational import derived_forward
 from ccsp.parser import parse_compensable, parse_standard
+from ccsp import terms
 from ccsp.terms import (
     NULL,
     SKIP,
@@ -26,6 +27,7 @@ from ccsp.terms import (
     Par,
     Seq,
     Skip,
+    StandardTerm,
     Terminal,
     Trace,
     TracePair,
@@ -50,6 +52,10 @@ B = Atom("b")
 def test_terminal_order_and_glyphs():
     assert Terminal.TICK < Terminal.YIELD < Terminal.THROW
     assert [t.glyph for t in (Terminal.TICK, Terminal.YIELD, Terminal.THROW)] == ["*", "?", "!"]
+
+
+def test_a_terminal_prints_as_its_glyph():
+    assert [str(t) for t in (Terminal.TICK, Terminal.YIELD, Terminal.THROW)] == ["*", "?", "!"]
 
 
 def test_terminal_join_is_lattice_join():
@@ -311,6 +317,67 @@ def test_leaves_runtime_terms_and_the_deepest_chain_copy_to_themselves():
     held = {"terms": [A, chain]}
     copied = copy.deepcopy(held)
     assert copied == held and copied["terms"][1] is chain
+
+
+_PROTOCOLS = range(pickle.HIGHEST_PROTOCOL + 1)
+
+
+@given(_gen_cfgs)
+def test_an_unpickled_term_is_the_term(cfg):
+    term = gen_term(cfg)
+    for n in _PROTOCOLS:
+        assert pickle.loads(pickle.dumps(term, n)) is term
+
+
+def test_leaves_runtime_terms_and_deep_terms_pickle_to_themselves():
+    # Each used to raise TypeError or AttributeError; a reduce to the
+    # constructor and operands recursed once per level and overflowed.
+    chain = reduce(Seq, [A] * MAX_DEPTH)
+    dag = SKIP
+    for _ in range(MAX_DEPTH - 1):  # 500 distinct nodes, 2**500 - 1 in preorder
+        dag = Seq(dag, dag)
+    assert term_depth(dag) == MAX_DEPTH
+    for term in (NULL, SKIP, Aux(Pair(A, B), B), chain, dag):
+        for n in _PROTOCOLS:
+            assert pickle.loads(pickle.dumps(term, n)) is term
+    _, (entries,) = dag.__reduce__()
+    assert len(entries) == MAX_DEPTH  # each distinct node once
+
+
+class _Forged:
+    """Pickles as the term encoding `entries`, whatever they hold."""
+
+    def __init__(self, entries):
+        self.entries = entries
+
+    def __reduce__(self):
+        return terms._unpickle_term, (self.entries,)
+
+
+_DEEPER = ((Skip,), *((Seq, i, i) for i in range(MAX_DEPTH)))
+
+
+@pytest.mark.parametrize(
+    "entries, error, message",
+    [
+        (((str, "x"),), TypeError, "not a term class: <class 'str'>"),
+        (((StandardTerm,),), TypeError, "cannot build a bare StandardTerm"),
+        (((Skip,), (Seq, 0, 1)), ValueError, r"not earlier entries: \[0, 1\]"),
+        (((Skip,), (Seq, 0, -1)), ValueError, "not earlier entries"),
+        (((Skip,), (Seq, 0, True)), ValueError, "not earlier entries"),
+        (((Skip,), (Seq, 0)), TypeError, "Seq.__new__"),
+        (((Skip,), (Block, 0)), TypeError, "Block.body is not a compensable term"),
+        (((Atom, "1x"),), ValueError, "invalid event name: '1x'"),
+        (_DEEPER, ValueError, f"a term is at most {MAX_DEPTH} deep"),
+        ((), ValueError, "no term to rebuild"),
+    ],
+    ids=["class", "bare", "forward", "negative", "bool", "arity", "kind", "event", "depth",
+         "empty"],
+)
+def test_forged_term_data_is_refused(entries, error, message):
+    for n in _PROTOCOLS:
+        with pytest.raises(error, match=message):
+            pickle.loads(pickle.dumps(_Forged(entries), n))
 
 
 def _types(value) -> set:

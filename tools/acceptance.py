@@ -13,7 +13,8 @@ several checkouts, each round runs every workload once in each checkout,
 alternating which checkout goes first, so that parent and change can be
 compared on the same machine.  `--runs N` makes N rounds; the table then
 gives each figure's range over them.  Below the table, each checkout's
-`src/` line count (newlines in its `*.py` files, as `wc -l` counts them).
+`src/` line count (newlines in its `*.py` files, as `wc -l` counts them),
+per module and in total.
 Runs are one at a time, so the table needs about one minute per round and
 checkout.  Standard library only; not a Tier-1 test.
 """
@@ -72,8 +73,11 @@ def span(values: list[float], fmt: str) -> str:
     return low if low == high else f"{low}-{high}"
 
 
-def src_lines(checkout: Path) -> int:
-    return sum(path.read_bytes().count(b"\n") for path in (checkout / "src").rglob("*.py"))
+def src_lines(checkout: Path) -> dict[str, int]:
+    """Newlines per `*.py` file under the checkout's `src/`, by relative path."""
+    src = checkout / "src"
+    return {str(path.relative_to(src)): path.read_bytes().count(b"\n")
+            for path in sorted(src.rglob("*.py"))}
 
 
 def main() -> int:
@@ -106,7 +110,9 @@ def main() -> int:
                   f"{span([r['rss_mib'] for r in runs], '.0f')} MiB |")
     print()
     for checkout in checkouts:
-        print(f"{checkout}: `src/` has {src_lines(checkout)} lines")
+        lines = src_lines(checkout)
+        per_module = ", ".join(f"{name} {count}" for name, count in lines.items())
+        print(f"{checkout}: `src/` has {sum(lines.values())} lines ({per_module})")
     return 0
 
 
