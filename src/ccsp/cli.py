@@ -21,6 +21,7 @@ from collections import defaultdict
 from typing import Sequence
 
 from . import warehouse
+from .automata import clear_caches as clear_node_memos
 from .denotational import clear_caches as clear_trace_memos, traces_compensable, traces_standard
 from .equivalence import (
     LAWS,
@@ -192,6 +193,7 @@ def run(argv: Sequence[str] | None = None) -> int:
 
     clear_step_memos()
     clear_trace_memos()
+    clear_node_memos()
     collecting = gc.isenabled()
     gc.disable()
     try:

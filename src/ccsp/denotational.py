@@ -1,12 +1,20 @@
 """Compositional trace semantics.
 
-Operators are defined first on individual traces, then lifted pointwise to
-sets: one set operator per clause (`lift_seq`, `lift_par`, `lift_interrupt`,
-`lift_block`, `lift_pair`, `lift_cseq`, `lift_cpar`; choice is union), and
-`CLAUSES` maps each composite node class to its clause.  A standard
-process denotes a set of traces; a compensable process denotes a set of
-trace pairs (forward trace, compensation trace).  The decomposition laws
-in `ccsp.equivalence` apply the same `CLAUSES` to derived traces.
+A standard process denotes a set of traces; a compensable process denotes
+a set of trace pairs (forward trace, compensation trace).  The operators
+are defined first on individual traces, then lifted pointwise to sets: one
+set operator per clause (`lift_seq`, `lift_par`, `lift_interrupt`,
+`lift_block`, `lift_pair`, `lift_cseq`, `lift_cpar`; choice is union).
+Those definitions are the specification.  The semantics computes each set
+as a node of `ccsp.automata`, an interned acyclic automaton, and `CLAUSES`
+maps each composite node class to its clause as an operation on nodes:
+union for choice, a graft at tick or throw leaves for `;` and `|>`, the
+shuffle product for `||`, and so on, each memoized on the identities of
+its operands in the shared computed table, each running on an explicit
+stack.  The tests check that every operation writes out to its `lift_*`.
+`trace_node` gives a term's node, and `traces_standard` and
+`traces_compensable` write it out as a frozenset.  The decomposition laws
+in `ccsp.equivalence` apply the same `CLAUSES` to derived nodes.
 
 The rules in one breath:
 
@@ -27,6 +35,7 @@ so an argument that is not a pair is a `TypeError` or `ValueError`.
 """
 from __future__ import annotations
 
+from .automata import COMPUTED, EMPTY, Node, language, mk, union
 from .terms import (
     Atom,
     Aux,
@@ -208,19 +217,186 @@ def lift_cpar(left: frozenset[TracePair], right: frozenset[TracePair]) -> frozen
     )
 
 
-#: The clause of each composite node class: its set operator, applied to
-#: its operands' sets in field order.  Choice is union.  The decomposition
-#: laws in `ccsp.equivalence` apply the same operators to derived sets.
+# ---------------------------------------------------------------------------
+# The clauses as automaton operations
+# ---------------------------------------------------------------------------
+
+_NO_TERMINALS = frozenset()
+_TICKS, _THROWS = frozenset((_TICK,)), frozenset((_THROW,))
+_ORDER = (_TICK, _YIELD, _THROW)  # the order of a compensable node's terminals
+_TICK_NODE = mk(_TICKS)  # {<*>}
+
+# Both drivers memoize in the shared computed table under ``(leaf rule,
+# node, operand)``: keyed by the rule, so a rule patched in (as the mutation
+# tests do) never reads another rule's results.
+def _graft(leaf, p: Node, q) -> Node:
+    """The set whose traces follow `p`'s paths, where at each node of `p`
+    `leaf(acc, q)` gives the terminals that still end a trace there and a
+    set whose traces go on from there.  A node is built once all its
+    children are, on an explicit stack."""
+    memo = COMPUTED
+    top = (leaf, p, q)
+    hit = memo.get(top)
+    if hit is not None:
+        return hit
+    stack = [p]
+    while stack:
+        node = stack[-1]
+        key = (leaf, node, q)
+        if key in memo:
+            stack.pop()
+            continue
+        edges = []
+        for event, child in node.edges:
+            out = memo.get((leaf, child, q))
+            if out is None:
+                stack.append(child)
+            else:
+                edges.append((event, out))
+        if len(edges) < len(node.edges):
+            continue
+        stack.pop()
+        acc, more = leaf(node.acc, q)
+        out = mk(acc, edges)
+        memo[key] = out if more is EMPTY else union(out, more)
+    return memo[top]
+
+
+def _shuffle(leaf, p: Node, q: Node) -> Node:
+    """The shuffle product: an event of either side leads on with the other
+    side where it was, and at each pair of nodes `leaf(p.acc, q.acc)` joins
+    the two sides' terminals.  Built pair by pair on an explicit stack."""
+    memo = COMPUTED
+    top = (leaf, p, q)
+    hit = memo.get(top)
+    if hit is not None:
+        return hit
+    stack = [top]
+    while stack:
+        key = stack[-1]
+        if key in memo:
+            stack.pop()
+            continue
+        _, p, q = key
+        waiting = len(stack)
+        edges = {}
+        for event, c in p.edges:
+            if (out := memo.get((leaf, c, q))) is None:
+                stack.append((leaf, c, q))
+            else:
+                edges[event] = out
+        right = []
+        for event, d in q.edges:
+            if (out := memo.get((leaf, p, d))) is None:
+                stack.append((leaf, p, d))
+            else:
+                right.append((event, out))
+        if len(stack) > waiting:
+            continue
+        stack.pop()
+        for event, out in right:
+            edges[event] = union(edges[event], out) if event in edges else out
+        memo[key] = mk(leaf(p.acc, q.acc), tuple(sorted(edges.items())))
+    return memo[top]
+
+
+# The leaf rules.  Each clause's operation looks its rule up when it runs,
+# so patching a rule (say `_seq_leaf`) changes every clause that uses it.
+def _seq_leaf(acc: frozenset, q: Node):
+    """`;`: a tick hands over to `q`; any other terminal ends the trace."""
+    return (acc - _TICKS, q) if _TICK in acc else (acc, EMPTY)
+
+
+def _interrupt_leaf(acc: frozenset, q: Node):
+    """`|>`: a throw hands over to `q`."""
+    return (acc - _THROWS, q) if _THROW in acc else (acc, EMPTY)
+
+
+def _par_leaf(pa: frozenset, qa: frozenset) -> frozenset:
+    """`||`: both sides end at once, in the synchronised terminal."""
+    return frozenset(omega for left in pa for right in qa for omega in _SYNC[left, right])
+
+
+def _pair_leaf(acc: frozenset, q: Node):
+    """`%`: success installs the compensation `q`; any other forward
+    terminal installs the immediate success <*>."""
+    return tuple((w, q if w is _TICK else _TICK_NODE) for w in _ORDER if w in acc), EMPTY
+
+
+def _block_leaf(acc: tuple, _):
+    """A block keeps success, runs the compensation after a throw, and drops
+    a yield."""
+    comps = dict(acc)
+    return (_TICKS if _TICK in comps else _NO_TERMINALS), comps.get(_THROW, EMPTY)
+
+
+def _cseq_leaf(acc: tuple, r: Node):
+    """`;` on compensable sets: a forward tick goes on into every pair of
+    `r`, whose compensation then runs before the banked one."""
+    if acc and acc[0][0] is _TICK:
+        return acc[1:], _graft(_resequence_leaf, r, acc[0][1])
+    return acc, EMPTY
+
+
+def _resequence_leaf(acc: tuple, banked: Node):
+    # The pairs of `CSeq`'s right operand, each compensation followed by `banked`.
+    return tuple((w, _seq(comp, banked)) for w, comp in acc), EMPTY
+
+
+def _cpar_leaf(la: tuple, ra: tuple) -> tuple:
+    """`||` on compensable sets: forwards end in the synchronised terminal,
+    and their compensations run in parallel."""
+    comps: dict[Terminal, Node] = {}
+    for left, lc in la:
+        for right, rc in ra:
+            for omega in _SYNC[left, right]:
+                both = _par(lc, rc)
+                comps[omega] = union(comps[omega], both) if omega in comps else both
+    return tuple(sorted(comps.items()))
+
+
+def _seq(p: Node, q: Node) -> Node:
+    return _graft(_seq_leaf, p, q)
+
+
+def _interrupt(p: Node, q: Node) -> Node:
+    return _graft(_interrupt_leaf, p, q)
+
+
+def _par(p: Node, q: Node) -> Node:
+    return _shuffle(_par_leaf, p, q)
+
+
+def _pair(p: Node, q: Node) -> Node:
+    return _graft(_pair_leaf, p, q)
+
+
+def _block(body: Node) -> Node:
+    return _graft(_block_leaf, body, None)
+
+
+def _cseq(left: Node, right: Node) -> Node:
+    return _graft(_cseq_leaf, left, right)
+
+
+def _cpar(left: Node, right: Node) -> Node:
+    return _shuffle(_cpar_leaf, left, right)
+
+
+#: The clause of each composite node class: its operation on nodes, applied
+#: to its operands' nodes in field order.  Choice is union.  Each computes
+#: what its `lift_*` computes on the nodes' languages.  The decomposition
+#: laws in `ccsp.equivalence` apply the same operations to derived nodes.
 CLAUSES = {
-    Seq: lift_seq, Choice: frozenset.union, Par: lift_par, Interrupt: lift_interrupt,
-    Block: lift_block, Pair: lift_pair, CSeq: lift_cseq, CChoice: frozenset.union, CPar: lift_cpar,
+    Seq: _seq, Choice: union, Par: _par, Interrupt: _interrupt,
+    Block: _block, Pair: _pair, CSeq: _cseq, CChoice: union, CPar: _cpar,
 }
 
-#: The trace sets of the constant leaves; an atom's is its one-event trace.
+#: The nodes of the constant leaves; an atom's is its one-event trace.
 _LEAVES = {
-    Skip: frozenset((Trace((), _TICK),)),
-    Throw: frozenset((Trace((), _THROW),)),
-    Yield: frozenset((Trace((), _YIELD), Trace((), _TICK))),
+    Skip: _TICK_NODE,
+    Throw: mk(_THROWS),
+    Yield: mk(frozenset((_YIELD, _TICK))),
 }
 
 
@@ -228,13 +404,13 @@ _LEAVES = {
 # Semantic functions
 # ---------------------------------------------------------------------------
 
-_TRACES: dict[StandardTerm | CompensableTerm, frozenset] = {}
+_TRACES: dict[StandardTerm | CompensableTerm, Node] = {}
 _SHUFFLES: dict[tuple[tuple[Event, ...], tuple[Event, ...]], frozenset[tuple[Event, ...]]] = {}
 
 
-def _traces(term: StandardTerm | CompensableTerm) -> frozenset:
-    """The trace set of a standard term, or the trace-pair set of a
-    compensable one, evaluated compositionally and memoized per subterm."""
+def trace_node(term: StandardTerm | CompensableTerm) -> Node:
+    """The node of a standard term's trace set, or of a compensable term's
+    trace-pair set, evaluated compositionally and memoized per subterm."""
     hit = _TRACES.get(term)
     if hit is not None:
         return hit
@@ -242,14 +418,14 @@ def _traces(term: StandardTerm | CompensableTerm) -> frozenset:
     if (clause := CLAUSES.get(cls)) is not None:
         # A plain loop: a comprehension would add a frame a level, and
         # recursing through `map` raised the enumerations' peak RSS.
-        sets = []
+        nodes = []
         for name in cls._fields:
-            sets.append(_traces(getattr(term, name)))
-        out = clause(*sets)
+            nodes.append(trace_node(getattr(term, name)))
+        out = clause(*nodes)
     elif cls in _LEAVES:
         out = _LEAVES[cls]
     elif cls is Atom:
-        out = frozenset((Trace((term.event,), _TICK),))
+        out = mk(_NO_TERMINALS, ((term.event, _TICK_NODE),))
     elif cls is Null:
         raise ValueError("the null process has no denotation")
     elif cls is Aux:
@@ -263,30 +439,39 @@ def _traces(term: StandardTerm | CompensableTerm) -> frozenset:
 def traces_standard(term: StandardTerm) -> frozenset[Trace]:
     """The trace set of a standard user term."""
     check_kind(term, StandardTerm)
-    return _traces(term)
+    return frozenset(language(trace_node(term)))
 
 
 def traces_compensable(term: CompensableTerm) -> frozenset[TracePair]:
     """The trace-pair set of a compensable user term."""
     check_kind(term, CompensableTerm)
-    return _traces(term)
+    return frozenset(language(trace_node(term)))
 
 
 def check_healthiness(term: StandardTerm | CompensableTerm) -> bool:
     """Every process must be able to terminate or interrupt: some trace
-    (forward trace, for compensable terms) ends in tick or throw."""
-    if isinstance(term, CompensableTerm):
-        return any(forward[1] is not _YIELD for forward, _ in _traces(term))
-    return any(t[1] is not _YIELD for t in _traces(term))
+    (forward trace, for compensable terms) ends in tick or throw.  Walks the
+    term's node until it finds one."""
+    stack, seen = [trace_node(term)], set()
+    while stack:
+        node = stack.pop()
+        acc = node.acc if type(node.acc) is frozenset else dict(node.acc)
+        if _TICK in acc or _THROW in acc:
+            return True
+        seen.add(node)
+        for _, child in node.edges:
+            if child not in seen:
+                stack.append(child)
+    return False
 
 
 def forget(term: StandardTerm | CompensableTerm) -> None:
-    """Drop the term's own memoized trace set, not its subterms'."""
+    """Drop the term's own memoized node, not its subterms'."""
     _TRACES.pop(term, None)
 
 
 def clear_caches() -> None:
-    """Drop all memoized trace sets (used by tests and long campaigns)."""
+    """Drop all memoized nodes and shuffles."""
     _TRACES.clear()
     _SHUFFLES.clear()
 

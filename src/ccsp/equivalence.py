@@ -1,18 +1,20 @@
 """Mechanical comparison of the two semantics.
 
 `check_standard` / `check_compensable` compare the derived traces of a term
-(read off its maximal operational runs) with its compositional trace set,
-by exact set equality in both directions, dropping the operational walk
-before the trace semantics runs; `check_terms`, for loops over many terms,
-keeps memo entries the terms share.  `check_lemma` does the same for
-the seven decomposition laws relating lifted runs of a composite term to
-trace-level operators over the runs of its parts, one law per operator.
-Each law is one row of `LAWS`: its composite's constructor, the runs it
-compares, its formula over the operands and its coverage probe.  Laws 1,
-2, 6 and 7 have no formula: each is its constructor's clause in
-`denotational.CLAUSES` over derived sets, so a fault in a clause shows up
-in its law; laws 3-5 relate forward outcomes.  Neither semantics imports
-the other or this module.
+(read off its maximal operational runs) with its compositional trace set.
+Both semantics build their sets as nodes of `ccsp.automata`, where equal
+sets are one interned node, so exact set equality is one `is`, and the two
+differences are written out only on a mismatch.  A one-term check drops
+the operational walk before the trace semantics runs; `check_terms`, for
+loops over many terms, keeps memo entries the terms share.  `check_lemma`
+does the same for the seven decomposition laws relating lifted runs of a
+composite term to trace-level operators over the runs of its parts, one
+law per operator.  Each law is one row of `LAWS`: its composite's
+constructor, the runs it compares, its formula over the operands and its
+coverage probe.  Laws 1, 2, 6 and 7 have no formula: each is its
+constructor's clause in `denotational.CLAUSES` over derived nodes, so a
+fault in a clause shows up in its law; laws 3-5 relate sets of forward
+outcomes.  Neither semantics imports the other or this module.
 
 Terms come from either a seeded random generator or an exhaustive
 enumerator of all user terms up to an operator budget, so the equality can
@@ -29,16 +31,10 @@ from itertools import accumulate, product, starmap
 from operator import index
 from typing import Callable, Iterable, Iterator
 
-from . import denotational, operational
-from .denotational import (
-    CLAUSES,
-    check_healthiness,
-    par_traces,
-    seq_traces,
-    traces_compensable,
-    traces_standard,
-)
-from .operational import derived_forward, derived_traces_compensable, derived_traces_standard
+from . import automata, denotational, operational
+from .automata import Node, language
+from .denotational import CLAUSES, check_healthiness, par_traces, seq_traces, trace_node
+from .operational import derived_forward, derived_node, derived_traces_standard
 from .terms import (
     BINARY_OPERATORS,
     Atom,
@@ -57,6 +53,7 @@ from .terms import (
     THROW,
     YIELD,
     check_alphabet,
+    check_kind,
 )
 
 # ---------------------------------------------------------------------------
@@ -88,40 +85,41 @@ class Verdict:
 _NONE: frozenset = frozenset()
 
 
-def _verdict(term, ours: frozenset, theirs: frozenset) -> Verdict:
-    """The verdict on two sets: one comparison when they are equal, the two
-    differences only when they are not."""
+def _verdict(term, ours: Node | frozenset, theirs: Node | frozenset) -> Verdict:
+    """The verdict on two nodes, or on two sets (laws 3-5).  Equal sets have
+    identical nodes, so one `is` decides; the two differences are written
+    out only on a mismatch."""
+    if type(ours) is Node:
+        if ours is theirs:
+            return Verdict(term, _NONE, _NONE)
+        ours, theirs = frozenset(language(ours)), frozenset(language(theirs))
     if ours == theirs:
         return Verdict(term, _NONE, _NONE)
     return Verdict(term, frozenset(ours - theirs), frozenset(theirs - ours))
 
 
 def check_standard(term: StandardTerm) -> Verdict:
-    """Exact two-way comparison of derived and compositional traces.  The
-    walk's memo entries are dropped before the trace semantics runs, so the
-    heap never holds both; loops should use `check_terms`, which keeps them."""
+    """Exact two-way comparison of derived and compositional traces, by the
+    identity of their nodes.  The walk's memo entries are dropped before the
+    trace semantics runs, so the heap never holds both; loops should use
+    `check_terms`, which keeps them."""
+    check_kind(term, StandardTerm)
     with operational.forgetting():
-        derived = derived_traces_standard(term)
-    return _verdict(term, derived, traces_standard(term))
+        derived = derived_node(term)
+    return _verdict(term, derived, trace_node(term))
 
 
 def check_compensable(term: CompensableTerm) -> Verdict:
     """`check_standard` for a compensable term's trace pairs."""
+    check_kind(term, CompensableTerm)
     with operational.forgetting():
-        derived = derived_traces_compensable(term)
-    return _verdict(term, derived, traces_compensable(term))
+        derived = derived_node(term)
+    return _verdict(term, derived, trace_node(term))
 
 
 # ---------------------------------------------------------------------------
 # Decomposition laws
 # ---------------------------------------------------------------------------
-
-
-def _derived(term):
-    """The derived traces (or trace pairs) of a term of either kind."""
-    if isinstance(term, CompensableTerm):
-        return derived_traces_compensable(term)
-    return derived_traces_standard(term)
 
 
 def _forward(term):
@@ -163,16 +161,16 @@ def _forward_throws(p, q):
 #: law id -> (name, operand kinds, composite constructor, runs, formula over
 #: the operands or None, coverage probe or None).  A law with no formula
 #: (1, 2, 6 and 7) is its constructor's trace clause (`CLAUSES`) over the
-#: operands' derived sets.
+#: operands' derived nodes.
 LAWS: dict[int, tuple[str, tuple[str, ...], type, Callable, Callable | None, Callable | None]] = {
-    1: ("seq-standard", ("std", "std"), Seq, _derived, None, None),
-    2: ("par-standard", ("std", "std"), Par, _derived, None, None),
+    1: ("seq-standard", ("std", "std"), Seq, derived_node, None, None),
+    2: ("par-standard", ("std", "std"), Par, derived_node, None, None),
     3: ("seq-forward", ("comp", "comp"), CSeq, _forward, _seq_forward, _cond_branches),
     4: ("aux-removal", ("comp", "std"), Aux, _forward,
         lambda qq, p: frozenset((t, Seq(banked, p)) for t, banked in derived_forward(qq)), None),
     5: ("par-forward", ("comp", "comp"), CPar, _forward, _par_forward, None),
-    6: ("pair", ("std", "std"), Pair, _derived, None, _forward_throws),
-    7: ("block", ("comp",), Block, _derived, None, None),
+    6: ("pair", ("std", "std"), Pair, derived_node, None, _forward_throws),
+    7: ("block", ("comp",), Block, derived_node, None, None),
 }
 
 
@@ -200,7 +198,7 @@ def check_lemma(lemma: int, operands: tuple) -> Verdict:
         if not isinstance(operand, StandardTerm if kind == "std" else CompensableTerm):
             raise ValueError(f"law {lemma} operand kinds are {kinds}")
     term = ctor(*operands)
-    theirs = formula(*operands) if formula else CLAUSES[ctor](*map(_derived, operands))
+    theirs = formula(*operands) if formula else CLAUSES[ctor](*map(derived_node, operands))
     return _verdict(term, runs(term), theirs)
 
 
@@ -397,44 +395,54 @@ class _EnumWorld:
 #: is only the backstop for long `prop` and `enumerate` runs.
 CACHE_TRIM_THRESHOLD = 400_000
 
+#: Empty the node operations' computed table between checked terms once it
+#: holds more than this many entries.  Its entries keep their nodes alive
+#: (the unique table is weak): over the compensable enumeration at one
+#: operator and eight events, 4 000 peaked 1 MiB higher than 2 000, and
+#: 1 000 ran slower.
+COMPUTED_LIMIT = 2_000
+
 
 def clear_caches() -> None:
-    """Drop every memo table in both semantics."""
+    """Drop every memo table in both semantics, and the computed table."""
     operational.clear_caches()
     denotational.clear_caches()
+    automata.clear_caches()
 
 
 def maybe_trim_caches() -> None:
-    if operational.cache_size() + denotational.cache_size() > CACHE_TRIM_THRESHOLD:
+    if (operational.cache_size() + denotational.cache_size() + automata.cache_size()
+            > CACHE_TRIM_THRESHOLD):
         clear_caches()
 
 
 def _release(*terms: StandardTerm | CompensableTerm) -> None:
-    """Drop the checked terms' own memo entries, and a block's body's too,
-    then trim the memo tables if they are still large."""
+    """Drop the checked terms' own memo entries, and a block's body's too;
+    empty the computed table once it passes `COMPUTED_LIMIT`; then trim the
+    memo tables if they are still large."""
     for term in terms:
         for dead in (term, term.body) if isinstance(term, Block) else (term,):
             operational.forget(dead)
             denotational.forget(dead)
+    if len(automata.COMPUTED) > COMPUTED_LIMIT:
+        automata.clear_caches()
     maybe_trim_caches()
 
 
 def check_terms(
     terms: Iterable[StandardTerm | CompensableTerm],
 ) -> Iterator[tuple[StandardTerm | CompensableTerm, Verdict, bool]]:
-    """`(term, verdict, healthy)` for each term, checked by its kind.  The
+    """`(term, verdict, healthy)` for each term, of either kind.  The
     terms share their subterms' and successors' memo entries; once the
     consumer has taken an item, only the term's own entries are dropped,
     and a block's body's too (`enumerate_terms` streams block bodies, so
     no later term uses them), then the memo tables are trimmed if they are
-    still large."""
+    still large.  Once the terms run out, the computed table is emptied.
+    A verdict compares the two semantics' nodes by identity."""
     for term in terms:
-        if isinstance(term, CompensableTerm):
-            verdict = _verdict(term, derived_traces_compensable(term), traces_compensable(term))
-        else:
-            verdict = _verdict(term, derived_traces_standard(term), traces_standard(term))
-        yield term, verdict, check_healthiness(term)
+        yield term, _verdict(term, derived_node(term), trace_node(term)), check_healthiness(term)
         _release(term)
+    automata.clear_caches()
 
 
 def run_prop_campaign(

@@ -9,14 +9,23 @@ in no particular order; `build_lts`, whose edges users see, is the one place
 that orders steps canonically.
 
 Lifting single steps over event sequences gives runs; the derived traces
-of a term are the labels of its maximal runs.  Both are computed by
-exhaustive exploration, which terminates because every step strictly
-decreases `term_weight`.  Exploration shares memo tables across calls,
-unless made inside `forgetting`, which drops what one walk added.  A
-freshly explored state is one new entry in the run table, and one call may
-add at most `STATE_CAP` of them (`build_lts` may hold as many nodes, and
-`run_lifted` add as many step entries), so that pathological terms fail
-loudly instead of thrashing.
+of a term are the labels of its maximal runs.  `derived_node` builds them,
+from `step` alone, as a node of `ccsp.automata`: each state's node has an
+edge per event label to the union of its successors' nodes, and its
+terminals (for a compensable state, each paired with the union of its
+banked compensations' nodes).  So equal derived sets are identical nodes,
+and no trace is written out unless asked for (`derived_traces_standard`,
+`derived_traces_compensable`).  The decomposition laws also read the
+forward outcomes, ``(trace, banked compensation)`` pairs (`derived_forward`).
+All are computed by exhaustive exploration, which terminates because every
+step strictly decreases `term_weight`.  Exploration shares memo tables
+across calls, unless made inside `forgetting`, which drops what one walk
+added.  A freshly explored state is one new entry in the node table (or,
+for forward outcomes, the run table), and one call may add at most
+`STATE_CAP` of them (`build_lts` may hold as many nodes, and `run_lifted`
+add as many step entries), so that pathological terms fail loudly instead
+of thrashing.  This module does not import the trace semantics; the two
+share only terms and the node layer.
 """
 from __future__ import annotations
 
@@ -25,6 +34,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Union
 
+from .automata import Node, language, mk, union
 from .terms import (
     Atom,
     Aux,
@@ -51,7 +61,6 @@ from .terms import (
     Yield,
     check_kind,
     pretty_print,
-    unchecked_pair,
     unchecked_trace,
 )
 
@@ -218,16 +227,61 @@ def run_lifted(term: StandardTerm, t: Trace) -> bool:
     return any(label is terminal for state in states for label, _ in steps(state))
 
 
-#: Each explored state's run outcomes: traces for a standard state, and
-#: ``(trace, banked compensation)`` pairs for a compensable one.
-_RUNS: dict[StandardTerm | CompensableTerm, frozenset] = {}
+#: Each explored state's node: the set of labels of its maximal runs, for
+#: a compensable state each forward terminal paired with the node of its
+#: banked compensations.
+_NODES: dict[StandardTerm | CompensableTerm, Node] = {}
 
 
-def _runs(term: StandardTerm | CompensableTerm, limit: int) -> frozenset:
-    """The run outcomes of `term`, computed without recursion: a state on
-    the stack is computed once every event successor is in `_RUNS`, which
-    ends because every successor is lighter.  Storing a fresh state past
-    `limit` entries in `_RUNS` raises `StateCapExceeded`."""
+def derived_node(term: StandardTerm | CompensableTerm) -> Node:
+    """The node of a term's derived traces, or of a compensable term's
+    derived trace pairs, built from `step` alone without recursion: a state
+    on the stack is built once every successor it needs (its event
+    successors, and a compensable state's banked compensations) has its
+    node, which ends because every successor is lighter.  Same-label
+    successors are merged by `union`.  Forward states and banked
+    compensations share one allowance: storing more than `STATE_CAP` fresh
+    states raises `StateCapExceeded`."""
+    nodes = _NODES
+    limit = len(nodes) + STATE_CAP
+    stack = [term]
+    while stack:
+        state = stack[-1]
+        if state in nodes:
+            stack.pop()
+            continue
+        compensable = isinstance(state, CompensableTerm)
+        edges: dict[Event, Node] = {}
+        ends: dict[Terminal, Node | None] = {}
+        waiting = len(stack)
+        for label, succ in step(state):
+            event = isinstance(label, str)
+            if not (event or compensable):  # a standard state ends in the null process
+                ends[label] = None
+            elif (child := nodes.get(succ)) is None:
+                stack.append(succ)
+            else:
+                out = edges if event else ends
+                out[label] = union(out[label], child) if label in out else child
+        if len(stack) > waiting:
+            continue
+        stack.pop()
+        if len(nodes) >= limit:
+            raise StateCapExceeded(STATE_CAP)
+        acc = tuple(sorted(ends.items())) if compensable else frozenset(ends)
+        nodes[state] = mk(acc, tuple(sorted(edges.items())))
+    return nodes[term]
+
+
+#: Each explored compensable state's forward outcomes: ``(trace, banked
+#: compensation)`` pairs, for the decomposition laws.
+_RUNS: dict[CompensableTerm, frozenset] = {}
+
+
+def _runs(term: CompensableTerm, limit: int) -> frozenset:
+    """The forward outcomes of `term`, computed without recursion, as
+    `derived_node` builds nodes.  Storing a fresh state past `limit` entries
+    in `_RUNS` raises `StateCapExceeded`."""
     runs = _RUNS
     stack = [term]
     while stack:
@@ -246,20 +300,12 @@ def _runs(term: StandardTerm | CompensableTerm, limit: int) -> frozenset:
         if len(runs) >= limit:
             raise StateCapExceeded(STATE_CAP)
         out = set()
-        if isinstance(state, StandardTerm):
-            for label, succ in steps:
-                if isinstance(label, str):
-                    for events, terminal in runs[succ]:
-                        out.add(unchecked_trace(((label,) + events, terminal)))
-                else:
-                    out.add(unchecked_trace(((), label)))
-        else:
-            for label, succ in steps:
-                if isinstance(label, str):
-                    for (events, terminal), banked in runs[succ]:
-                        out.add((unchecked_trace(((label,) + events, terminal)), banked))
-                else:
-                    out.add((unchecked_trace(((), label)), succ))
+        for label, succ in steps:
+            if isinstance(label, str):
+                for (events, terminal), banked in runs[succ]:
+                    out.add((unchecked_trace(((label,) + events, terminal)), banked))
+            else:
+                out.add((unchecked_trace(((), label)), succ))
         runs[state] = frozenset(out)
     return runs[term]
 
@@ -267,7 +313,7 @@ def _runs(term: StandardTerm | CompensableTerm, limit: int) -> frozenset:
 def derived_traces_standard(term: StandardTerm) -> frozenset[Trace]:
     """The labels of all maximal runs of a standard term."""
     check_kind(term, StandardTerm)
-    return _runs(term, len(_RUNS) + STATE_CAP)
+    return frozenset(language(derived_node(term)))
 
 
 def derived_forward(term: CompensableTerm) -> frozenset[tuple[Trace, StandardTerm]]:
@@ -278,15 +324,9 @@ def derived_forward(term: CompensableTerm) -> frozenset[tuple[Trace, StandardTer
 
 
 def derived_traces_compensable(term: CompensableTerm) -> frozenset[TracePair]:
-    """Forward runs continued through their banked compensations, which
-    share one allowance of fresh states."""
+    """Forward runs continued through their banked compensations."""
     check_kind(term, CompensableTerm)
-    limit = len(_RUNS) + STATE_CAP
-    return frozenset(
-        unchecked_pair((t, t2))
-        for t, banked in _runs(term, limit)
-        for t2 in _runs(banked, limit)
-    )
+    return frozenset(language(derived_node(term)))
 
 
 # ---------------------------------------------------------------------------
@@ -367,9 +407,10 @@ def build_lts(term: LtsNode) -> Lts:
 
 
 def forget(term: StandardTerm | CompensableTerm) -> None:
-    """Drop the term's own memoized steps and derived traces, not those of
-    its subterms or successors."""
+    """Drop the term's own memoized steps, node and forward outcomes, not
+    those of its subterms or successors."""
     _STEPS.pop(term, None)
+    _NODES.pop(term, None)
     _RUNS.pop(term, None)
 
 
@@ -378,7 +419,7 @@ def forgetting():
     """Drop every memo entry added inside the block when it ends or raises
     (say, `StateCapExceeded`).  A walk only inserts, so its entries are the
     tables' tails, popped back to the sizes read on entry."""
-    sizes = [(table, len(table)) for table in (_STEPS, _RUNS)]
+    sizes = [(table, len(table)) for table in (_STEPS, _NODES, _RUNS)]
     try:
         yield
     finally:
@@ -388,10 +429,11 @@ def forgetting():
 
 
 def clear_caches() -> None:
-    """Drop memoized steps and derived traces."""
+    """Drop memoized steps, nodes and forward outcomes."""
     _STEPS.clear()
+    _NODES.clear()
     _RUNS.clear()
 
 
 def cache_size() -> int:
-    return len(_STEPS) + len(_RUNS)
+    return len(_STEPS) + len(_NODES) + len(_RUNS)

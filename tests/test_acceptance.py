@@ -26,11 +26,12 @@ import pytest
 
 import ccsp
 from ccsp import denotational
+from ccsp.automata import EMPTY
 from ccsp.cli import run
 from ccsp.equivalence import check_standard, enumerate_terms, run_lemma_suite
 from ccsp.operational import derived_traces_compensable, derived_traces_standard
 from ccsp.parser import parse_compensable, parse_standard
-from ccsp.terms import Terminal, Trace, by_sort_key
+from ccsp.terms import Terminal, by_sort_key
 
 TIME_LIMIT = 300.0  # seconds per exhaustive campaign
 GOLDEN = Path(__file__).parent / "data" / "pinned_values.txt"
@@ -177,13 +178,13 @@ def test_warehouse_demo():
 
 
 def test_mutation_sensitivity(monkeypatch):
-    def mutant(p: Trace, q: Trace) -> Trace:
-        if p.terminal is Terminal.THROW:  # wrong: success flipped to throw
-            return Trace(p.events + q.events, q.terminal)
-        return p
+    def mutant(acc, q):
+        if Terminal.THROW in acc:  # wrong: success flipped to throw
+            return acc - {Terminal.THROW}, q
+        return acc, EMPTY
 
     ccsp.clear_caches()
-    monkeypatch.setattr(denotational, "seq_traces", mutant)
+    monkeypatch.setattr(denotational, "_seq_leaf", mutant)
     try:
         mismatch = None
         for term in enumerate_terms(2, ("a", "b"), "std"):

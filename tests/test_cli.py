@@ -8,11 +8,12 @@ import pytest
 
 import ccsp
 from ccsp import cli, denotational, equivalence, operational
+from ccsp.automata import EMPTY
 from ccsp.cli import run
 from ccsp.denotational import traces_compensable, traces_standard
 from ccsp.equivalence import enumerate_terms
 from ccsp.parser import MAX_DEPTH, MAX_NESTING, parse_compensable, parse_standard
-from ccsp.terms import Terminal, Trace, by_sort_key, term_depth
+from ccsp.terms import Terminal, by_sort_key, term_depth
 
 
 def invoke(argv):
@@ -510,15 +511,16 @@ def test_run_restores_the_collector_when_a_command_raises(monkeypatch, collectin
 
 @pytest.fixture
 def seq_mutant(monkeypatch):
-    """The acceptance mutant: the trace semantics' `;` continues after a
-    throw instead of after success, so the two semantics disagree."""
+    """The acceptance mutant: the trace semantics' `;` grafts its second
+    operand at throw leaves instead of tick leaves, so the two semantics
+    disagree."""
 
-    def mutant(p, q):
-        if p.terminal is Terminal.THROW:
-            return Trace(p.events + q.events, q.terminal)
-        return p
+    def mutant(acc, q):
+        if Terminal.THROW in acc:
+            return acc - {Terminal.THROW}, q
+        return acc, EMPTY
 
-    monkeypatch.setattr(denotational, "seq_traces", mutant)
+    monkeypatch.setattr(denotational, "_seq_leaf", mutant)
     yield
     ccsp.clear_caches()
 

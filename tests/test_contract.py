@@ -24,8 +24,8 @@ from ccsp import (
 )
 
 _MODULES = (
-    ccsp, ccsp.denotational, ccsp.equivalence, ccsp.operational, ccsp.parser, ccsp.terms,
-    ccsp.warehouse,
+    ccsp, ccsp.automata, ccsp.denotational, ccsp.equivalence, ccsp.operational, ccsp.parser,
+    ccsp.terms, ccsp.warehouse,
 )
 #: name -> callable, for each public callable whose home is a `ccsp` module.
 _CALLABLES = {

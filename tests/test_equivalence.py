@@ -1,11 +1,14 @@
 import itertools
 import random
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import ccsp
-from ccsp import denotational, equivalence, operational
+from ccsp import automata, denotational, equivalence, operational
+from ccsp.automata import EMPTY, mk, union
 from ccsp.equivalence import (
     GenConfig,
     LAWS,
@@ -39,7 +42,6 @@ from ccsp.terms import (
     Skip,
     Terminal,
     Throw,
-    Trace,
     TracePair,
     Yield,
     pretty_print,
@@ -100,7 +102,7 @@ def test_every_composite_has_one_trace_clause():
     assert set(denotational.CLAUSES) == {
         Seq, Choice, Par, Interrupt, Block, Pair, CSeq, CChoice, CPar,
     }
-    assert denotational.CLAUSES[Choice] is denotational.CLAUSES[CChoice] is frozenset.union
+    assert denotational.CLAUSES[Choice] is denotational.CLAUSES[CChoice] is union
 
 
 def test_check_lemma_examples():
@@ -527,7 +529,7 @@ def test_check_terms_matches_the_direct_checks():
         assert healthy == denotational.check_healthiness(term)
 
 
-_MEMO_TABLES = (operational._STEPS, operational._RUNS, denotational._TRACES)
+_MEMO_TABLES = (operational._STEPS, operational._NODES, operational._RUNS, denotational._TRACES)
 
 
 def test_check_terms_forgets_each_checked_term_and_its_block_body():
@@ -547,7 +549,7 @@ def test_check_terms_leaves_few_memo_entries(args, limit):
     # Keeping every checked term's entries left 31 173 and 9 899.
     for _ in check_terms(enumerate_terms(*args)):
         pass
-    assert operational.cache_size() + denotational.cache_size() < limit
+    assert operational.cache_size() + denotational.cache_size() + automata.cache_size() < limit
 
 
 @pytest.mark.parametrize(
@@ -571,14 +573,35 @@ def test_one_term_check_drops_its_walk(term):
     assert [verdict] == [v for _, v, _ in check_terms([term])]
 
 
+def _balanced_seq(n: int):
+    """A balanced `;` tree of 2**n copies of `a`."""
+    return A if n == 0 else Seq(_balanced_seq(n - 1), _balanced_seq(n - 1))
+
+
+def test_a_long_run_in_parallel_is_checked_in_small_memory():
+    # The balanced 1 024-event `;` tree of `a` beside `b`: 1 025 traces of
+    # 1 025 events, which took 24 s and 2.8 GB as trace sets.  Its automaton
+    # is 1 025 nodes deep, under the default recursion limit.
+    term = Par(_balanced_seq(10), B)
+    assert sys.getrecursionlimit() == 1000
+    tracemalloc.start()
+    try:
+        verdict = check_standard(term)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.status == "equal"
+    assert peak < 64 * 2**20
+
+
 def test_forgetting_drops_a_walk_stopped_by_the_state_cap(monkeypatch):
     derived_traces_standard(Seq(A, B))
-    before = dict(operational._STEPS), dict(operational._RUNS)
+    before = dict(operational._STEPS), dict(operational._NODES), dict(operational._RUNS)
     monkeypatch.setattr(operational, "STATE_CAP", 5)
     with pytest.raises(StateCapExceeded):
         with operational.forgetting():
             derived_traces_standard(Par(Par(A, B), Par(Atom("c"), Atom("d"))))
-    assert (operational._STEPS, operational._RUNS) == before
+    assert (operational._STEPS, operational._NODES, operational._RUNS) == before
 
 
 def test_check_terms_gives_the_same_verdicts_twice_in_a_row():
@@ -629,7 +652,7 @@ def test_each_lemma_suite_starts_cold_and_forgets_each_tuple(monkeypatch):
         return {term for table in _MEMO_TABLES for term in tuples[-1] if term in table}
 
     def recording_check(lemma, operands, check=equivalence.check_lemma):
-        sizes.append(operational.cache_size() + denotational.cache_size())
+        sizes.append(operational.cache_size() + denotational.cache_size() + automata.cache_size())
         if tuples:  # a later tuple may build an earlier one again, so look now
             kept.append(remembered())
         verdict = check(lemma, operands)
@@ -671,16 +694,16 @@ def test_a_lemma_suite_gives_the_same_result_after_another(monkeypatch, cap, lem
 # -- mutation sensitivity and counterexample soundness ------------------------
 
 
-def _mutant_seq_traces(p: Trace, q: Trace) -> Trace:
-    # deliberately wrong: splice on throw instead of success
-    if p.terminal is Terminal.THROW:
-        return Trace(p.events + q.events, q.terminal)
-    return p
+def _mutant_seq_leaf(acc, q):
+    # deliberately wrong: graft at throw leaves instead of tick leaves
+    if Terminal.THROW in acc:
+        return acc - {Terminal.THROW}, q
+    return acc, EMPTY
 
 
 def test_mutated_seq_success_condition_is_caught(monkeypatch):
     ccsp.clear_caches()
-    monkeypatch.setattr(denotational, "seq_traces", _mutant_seq_traces)
+    monkeypatch.setattr(denotational, "_seq_leaf", _mutant_seq_leaf)
     try:
         mismatches = []
         for term in enumerate_terms(2, ("a", "b"), "std"):
@@ -702,33 +725,41 @@ def test_mutated_seq_success_condition_is_caught(monkeypatch):
         ccsp.clear_caches()
 
 
+_PAIR = denotational.CLAUSES[Pair]
+
+
 @pytest.mark.parametrize(
-    "lemma,operator,wrong,operands",
+    "lemma,ctor,wrong,operands",
     [
-        (1, "seq_traces", lambda p, q: p, (SKIP, Atom("a"))),
-        (2, "par_traces", lambda p, q: frozenset((p,)), (Atom("a"), Atom("b"))),
-        (6, "pair_traces", lambda p, q: TracePair(p, p), (Atom("a"), Atom("b"))),
-        (7, "block_traces", lambda p, c: frozenset((p,)), (Pair(THROW, Atom("a")),)),
+        # `;` keeps only the first operand's traces
+        (1, Seq, lambda p, q: p, (SKIP, Atom("a"))),
+        # `||` keeps only the left operand's traces
+        (2, Par, lambda p, q: p, (Atom("a"), Atom("b"))),
+        # `%` installs the forward traces as the compensation
+        (6, Pair, lambda p, q: _PAIR(p, p), (Atom("a"), Atom("b"))),
+        # a block keeps each forward terminal and drops the compensation
+        (7, Block, lambda body: mk(frozenset(t for t, _ in body.acc), ()),
+         (Pair(THROW, Atom("a")),)),
     ],
     ids=["seq", "par", "pair", "block"],
 )
-def test_clause_law_follows_its_semantic_clause(monkeypatch, lemma, operator, wrong, operands):
-    # Laws 1, 2, 6 and 7 apply the trace semantics' own set operator to the
-    # derived traces of the operands, so a wrong trace operator breaks them.
+def test_clause_law_follows_its_semantic_clause(monkeypatch, lemma, ctor, wrong, operands):
+    # Laws 1, 2, 6 and 7 apply the trace semantics' own node operation to
+    # the derived nodes of the operands, so a wrong operation breaks them.
     assert check_lemma(lemma, operands).status == "equal"
-    monkeypatch.setattr(denotational, operator, wrong)
+    monkeypatch.setitem(denotational.CLAUSES, ctor, wrong)
     assert check_lemma(lemma, operands).status == "mismatch"
 
 
 def test_smallest_seq_mutant_witness():
     ccsp.clear_caches()
-    original = denotational.seq_traces
-    denotational.seq_traces = _mutant_seq_traces
+    original = denotational._seq_leaf
+    denotational._seq_leaf = _mutant_seq_leaf
     try:
         verdict = check_standard(Seq(THROW, SKIP))
         assert verdict.status == "mismatch"
         assert verdict.only_operational == {trace("!")}
         assert verdict.only_denotational == {trace("*")}
     finally:
-        denotational.seq_traces = original
+        denotational._seq_leaf = original
         ccsp.clear_caches()

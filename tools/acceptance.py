@@ -1,5 +1,5 @@
 """Print the acceptance table: exit code, wall time and peak RSS of the
-five acceptance workloads.
+seven acceptance workloads.
 
     python3 tools/acceptance.py [CHECKOUT ...] [--runs N]
 
@@ -14,7 +14,8 @@ alternating which checkout goes first, so that parent and change can be
 compared on the same machine.  `--runs N` makes N rounds; the table then
 gives each figure's range over them.  Below the table, each checkout's
 `src/` line count (newlines in its `*.py` files, as `wc -l` counts them),
-per module and in total.
+per module and in total.  An argv longer than 120 characters (the tree
+row's) is cut short in the table.
 Runs are one at a time, so the table needs about one minute per round and
 checkout.  Standard library only; not a Tier-1 test.
 """
@@ -28,6 +29,15 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def _tree(events: int) -> str:
+    """The balanced `;` tree of `events` copies of `a`, in concrete syntax."""
+    level = ["a"] * events
+    while len(level) > 1:
+        level = [f"({level[i]} ; {level[i + 1]})" for i in range(0, len(level), 2)]
+    return level[0]
+
 
 #: name -> (what it checks, argv)
 WORKLOADS = {
@@ -43,6 +53,11 @@ WORKLOADS = {
     "check": ("largest one-term check, two 9-event chains in parallel",
               ["check", "(x0 ; x1 ; x2 ; x3 ; x4 ; x5 ; x6 ; x7 ; x8)"
                         " || (y0 ; y1 ; y2 ; y3 ; y4 ; y5 ; y6 ; y7 ; y8)"]),
+    "tree": ("the balanced 1 024-event `;` tree of a, beside b (1 025 traces of 1 025 events)",
+             ["check", f"{_tree(1024)} || b"]),
+    "chains": ("three chains of 7, 7 and 3 events in parallel (2 333 760 traces)",
+               ["check", "(a ; b ; c ; d ; e ; f ; g) || (h ; i ; j ; k ; l ; m ; n)"
+                         " || (o ; p ; q)"]),
 }
 
 #: Runs in the child: one `cli.run` call, then its figures as one JSON line.
@@ -104,7 +119,8 @@ def main() -> int:
         for checkout in checkouts:
             runs = results[checkout, name]
             codes = ",".join(sorted({str(r["code"]) for r in runs}))
-            shown = " ".join(argv).replace("|", "\\|")  # a `|` would end the cell
+            shown = " ".join(argv)
+            shown = (shown if len(shown) <= 120 else shown[:117] + "...").replace("|", "\\|")
             print(f"| {checkout} | {label} | `{shown}` | {codes} | "
                   f"{span([r['wall_s'] for r in runs], '.1f')} s | "
                   f"{span([r['rss_mib'] for r in runs], '.0f')} MiB |")
