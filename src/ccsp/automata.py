@@ -23,10 +23,11 @@ what keeps the form canonical.  So two trace sets are equal exactly when
 their nodes are identical, and comparing them is one `is`.
 
 This layer holds what both semantics share: `mk`; `union`, which merges two
-sets of the same kind; `language`, which writes a node's traces out; and
-the computed table in which every node operation memoizes its results,
-keyed by the identities of its operands.  Every
-operation runs on an explicit stack: an automaton is as deep as its
+sets of the same kind; `language`, the one walk that writes a node's traces
+out, in canonical order with no set and no sort; `ends_in`, which searches
+a node for a terminal; and the computed table in which every node
+operation memoizes its results, keyed by the identities of its operands.
+Every operation runs on an explicit stack: an automaton is as deep as its
 longest trace, and nothing here recurses once per event.
 """
 from __future__ import annotations
@@ -40,6 +41,8 @@ _TERMINAL_SETS = {
     s: s for s in (frozenset(t for t in Terminal if bits >> t._value_ & 1) for bits in range(8))
 }
 _NO_TERMINALS = _TERMINAL_SETS[frozenset()]
+#: Each set of terminals, to its members in terminal order.
+_IN_ORDER = {s: tuple(sorted(s)) for s in _TERMINAL_SETS}
 
 
 class Node:
@@ -182,29 +185,102 @@ def union(p: Node, q: Node) -> Node:
     return memo[top]
 
 
+def _lengths(root: Node) -> dict[Node, int]:
+    """Each node reachable from `root` by its edges, to the lengths of its
+    (forward) traces as a bitmask: bit k is set when some trace has k
+    events.  Built once all children are, on an explicit stack."""
+    lengths: dict[Node, int] = {}
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if node in lengths:
+            stack.pop()
+            continue
+        waiting = len(stack)
+        for _, child in node.edges:
+            if child not in lengths:
+                stack.append(child)
+        if len(stack) > waiting:
+            continue
+        stack.pop()
+        bits = 1 if node.acc else 0
+        for _, child in node.edges:
+            bits |= lengths[child] << 1
+        lengths[node] = bits
+    return lengths
+
+
 def language(node: Node) -> Iterator[Trace | TracePair]:
     """Every trace of a standard node, or trace pair of a compensable one,
-    each once, in no particular order; one path of the automaton per
-    forward trace, on an explicit stack."""
+    each once and in `sort_key` order, straight from the automaton: by
+    length, one walk per length that keeps only the children with a trace
+    of the length still to go (read from a per-call table of lengths); then
+    by events, following the edges in their event order; then by terminal,
+    in terminal order.  Under a compensable node's forward trace, its
+    compensation's traces come in the same order.
+
+    The walk runs on an explicit stack of nodes and shares one list of
+    events, so a member costs O(its length).  Beside the nodes it holds the
+    table (an int per node), the stack (under one node's edges per event
+    of the longest trace), that trace, and one list per distinct
+    compensation node, of that node's traces."""
     if type(node) is not Node:
         raise TypeError(f"not a node: {node!r}")
-    comps: dict[Node, list[Trace]] = {}  # each compensation's traces, listed once
-    stack = [(node, ())]
+    root, lengths = node, _lengths(node)
+    comps: dict[Node, list[Trace]] = {}
+    bits = lengths[root]
+    for length in range(bits.bit_length()):
+        if not bits >> length & 1:
+            continue
+        path = [None] * length  # path[:depth] holds the events to `node`
+        stack = [(root, 0, None)]  # (node, its depth, the event into it)
+        while stack:
+            node, depth, event = stack.pop()
+            if depth:
+                path[depth - 1] = event
+            # Go down the first child with a trace of the length still to go,
+            # and leave the later ones on the stack.
+            while depth < length:
+                rest, first = length - depth - 1, None
+                for edge in reversed(node.edges):
+                    if lengths[edge[1]] >> rest & 1:
+                        if first is not None:
+                            stack.append((first[1], depth + 1, first[0]))
+                        first = edge
+                path[depth], node = first
+                depth += 1
+            events, acc = tuple(path), node.acc
+            if type(acc) is tuple:
+                for terminal, comp in acc:
+                    forward = unchecked_trace((events, terminal))
+                    backs = comps.get(comp)
+                    if backs is None:
+                        backs = comps[comp] = list(language(comp))
+                    for back in backs:
+                        yield unchecked_pair((forward, back))
+            else:
+                for terminal in _IN_ORDER[acc]:
+                    yield unchecked_trace((events, terminal))
+
+
+def ends_in(node: Node, terminals: frozenset) -> bool:
+    """Whether some trace of a standard node, or forward trace of a
+    compensable one, ends in one of `terminals`: a search of the nodes
+    reachable by edges that stops at the first such terminal."""
+    if type(node) is not Node:
+        raise TypeError(f"not a node: {node!r}")
+    if type(terminals) is not frozenset:
+        raise TypeError(f"not a set of terminals: {terminals!r}")
+    stack, seen = [node], {node}
     while stack:
-        node, events = stack.pop()
-        acc = node.acc
-        if type(acc) is tuple:
-            for terminal, comp in acc:
-                forward = unchecked_trace((events, terminal))
-                if comp not in comps:
-                    comps[comp] = list(language(comp))
-                for back in comps[comp]:
-                    yield unchecked_pair((forward, back))
-        else:
-            for terminal in acc:
-                yield unchecked_trace((events, terminal))
-        for event, child in node.edges:
-            stack.append((child, events + (event,)))
+        node = stack.pop()
+        if not terminals.isdisjoint(node.acc if type(node.acc) is frozenset else dict(node.acc)):
+            return True
+        for _, child in node.edges:
+            if child not in seen:
+                seen.add(child)
+                stack.append(child)
+    return False
 
 
 def clear_caches() -> None:

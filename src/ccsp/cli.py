@@ -18,11 +18,12 @@ import gc
 import json
 import sys
 from collections import defaultdict
-from typing import Sequence
+from itertools import islice
+from typing import Iterator, Sequence
 
 from . import warehouse
-from .automata import clear_caches as clear_node_memos
-from .denotational import clear_caches as clear_trace_memos, traces_compensable, traces_standard
+from .automata import clear_caches as clear_node_memos, language
+from .denotational import clear_caches as clear_trace_memos, trace_node
 from .equivalence import (
     LAWS,
     Verdict,
@@ -37,8 +38,7 @@ from .operational import (
     StateCapExceeded,
     build_lts,
     clear_caches as clear_step_memos,
-    derived_traces_compensable,
-    derived_traces_standard,
+    derived_node,
     forgetting,
 )
 from .parser import ParseError, parse_compensable, parse_standard
@@ -83,6 +83,20 @@ _POSITIVE = _int_at_least(1)
 def _set_tokens(traces, kind: str) -> list:
     tokens = trace_tokens if kind == "std" else pair_tokens
     return [tokens(t) for t in sorted(traces, key=by_sort_key)]
+
+
+#: Members per write.  A chunk of the traces of `<tree> || b`, 2 KiB a
+#: line, is 0.5 MiB: `traces` on it peaked at 27 MiB with 4 096 and at
+#: 20.5 MiB with 256, with no change in time on either row of the
+#: acceptance table.
+_CHUNK = 256
+
+
+def _chunks(items: Iterator) -> Iterator[list]:
+    """`items` in lists of up to `_CHUNK`, so that output is written a
+    chunk at a time, neither a line at a time nor all at once."""
+    while chunk := list(islice(items, _CHUNK)):
+        yield chunk
 
 
 def _print_set(traces) -> None:
@@ -221,30 +235,37 @@ def _validated_term(args):
 
 def _cmd_traces(args) -> int:
     term = _validated_term(args)
-    std = args.kind == "std"
-    sets = {}
+    nodes = {}
     # The walk runs first and is dropped before the trace semantics runs;
     # the denotational set still prints first.
     if args.semantics != "denotational":
-        derived = derived_traces_standard if std else derived_traces_compensable
         with forgetting():
-            sets["operational"] = derived(term)
+            nodes["operational"] = derived_node(term)
     if args.semantics != "operational":
-        traces = traces_standard if std else traces_compensable
-        sets = {"denotational": traces(term), **sets}
+        nodes = {"denotational": trace_node(term), **nodes}
+    write = sys.stdout.write
     if args.format == "machine":
-        record = {
-            "command": "traces",
-            "term": pretty_print(term),
-            "kind": args.kind,
-            "sets": {name: _set_tokens(s, args.kind) for name, s in sets.items()},
-        }
-        print(json.dumps(record, sort_keys=True))
+        tokens = trace_tokens if args.kind == "std" else pair_tokens
+        record = {"command": "traces", "term": pretty_print(term), "kind": args.kind,
+                  "sets": {name: [] for name in nodes}}
+        # The record as `json.dumps` lays it out, each set streamed into the
+        # place of its empty list: the sets come before the term.
+        rest = json.dumps(record, sort_keys=True).split("[]", len(nodes))
+        write(rest[0])
+        for node, after in zip(nodes.values(), rest[1:]):
+            write("[")
+            sep = ""
+            for chunk in _chunks(map(tokens, language(node))):
+                write(sep + json.dumps(chunk)[1:-1])
+                sep = ", "
+            write("]" + after)
+        write("\n")
         return 0
-    for name, s in sets.items():
-        if len(sets) > 1:
-            print(f"{name}:")
-        _print_set(s)
+    for name, node in nodes.items():
+        if len(nodes) > 1:
+            write(f"{name}:\n")
+        for chunk in _chunks(map(str, language(node))):
+            write("\n".join(chunk) + "\n")
     return 0
 
 

@@ -35,7 +35,7 @@ so an argument that is not a pair is a `TypeError` or `ValueError`.
 """
 from __future__ import annotations
 
-from .automata import COMPUTED, EMPTY, Node, language, mk, union
+from .automata import COMPUTED, EMPTY, Node, ends_in, language, mk, union
 from .terms import (
     Atom,
     Aux,
@@ -223,6 +223,7 @@ def lift_cpar(left: frozenset[TracePair], right: frozenset[TracePair]) -> frozen
 
 _NO_TERMINALS = frozenset()
 _TICKS, _THROWS = frozenset((_TICK,)), frozenset((_THROW,))
+_TICK_OR_THROW = _TICKS | _THROWS
 _ORDER = (_TICK, _YIELD, _THROW)  # the order of a compensable node's terminals
 _TICK_NODE = mk(_TICKS)  # {<*>}
 
@@ -450,19 +451,9 @@ def traces_compensable(term: CompensableTerm) -> frozenset[TracePair]:
 
 def check_healthiness(term: StandardTerm | CompensableTerm) -> bool:
     """Every process must be able to terminate or interrupt: some trace
-    (forward trace, for compensable terms) ends in tick or throw.  Walks the
-    term's node until it finds one."""
-    stack, seen = [trace_node(term)], set()
-    while stack:
-        node = stack.pop()
-        acc = node.acc if type(node.acc) is frozenset else dict(node.acc)
-        if _TICK in acc or _THROW in acc:
-            return True
-        seen.add(node)
-        for _, child in node.edges:
-            if child not in seen:
-                stack.append(child)
-    return False
+    (forward trace, for compensable terms) ends in tick or throw.  Searches
+    the term's node until it finds one."""
+    return ends_in(trace_node(term), _TICK_OR_THROW)
 
 
 def forget(term: StandardTerm | CompensableTerm) -> None:

@@ -650,7 +650,8 @@ class Trace(_Observation):
         return (len(self.events), self.events, self.terminal._value_)
 
     def __str__(self) -> str:
-        return "<" + ",".join((*self.events, self.terminal.glyph)) + ">"
+        events, terminal = self
+        return f"<{','.join(events)},{_GLYPHS[terminal]}>" if events else f"<{_GLYPHS[terminal]}>"
 
     __repr__ = __str__
 
@@ -677,7 +678,8 @@ class TracePair(_Observation):
         return (self.forward.sort_key, self.compensation.sort_key)
 
     def __str__(self) -> str:
-        return f"({self.forward},{self.compensation})"
+        (events, terminal), (back, end) = self
+        return f"(<{','.join((*events, _GLYPHS[terminal]))}>,<{','.join((*back, _GLYPHS[end]))}>)"
 
     __repr__ = __str__
 

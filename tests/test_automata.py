@@ -1,8 +1,9 @@
 """The node layer and the trace clauses as node operations, checked against
 their set definitions: `language(op(P, Q)) == lift_op(language(P),
 language(Q))` for every clause, by Hypothesis and exhaustively over small
-universes.  Node counts vary between processes (unions follow `id` order),
-so no test pins one."""
+universes, with `language` writing each member once and in `sort_key`
+order.  Node counts vary between processes (unions follow `id` order), so
+no test pins one."""
 import ast
 import inspect
 from itertools import chain, combinations, product
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ccsp import denotational, operational
-from ccsp.automata import EMPTY, Node, language, mk, union
+from ccsp.automata import EMPTY, Node, ends_in, language, mk, union
 from ccsp.denotational import (
     CLAUSES,
     check_healthiness,
@@ -28,6 +29,7 @@ from ccsp.denotational import (
 )
 from ccsp.equivalence import enumerate_terms, gen_term, GenConfig
 from ccsp.operational import derived_node
+from ccsp.parser import parse_standard
 from ccsp.terms import (
     Block,
     CChoice,
@@ -43,9 +45,18 @@ from ccsp.terms import (
     Terminal,
     Trace,
     TracePair,
+    by_sort_key,
 )
 
 _TICK, _YIELD, _THROW = Terminal.TICK, Terminal.YIELD, Terminal.THROW
+
+
+def written(node: Node) -> frozenset:
+    """The members `language` writes out, checked to come each once and in
+    `sort_key` order."""
+    members = list(language(node))
+    assert members == sorted(set(members), key=by_sort_key)
+    return frozenset(members)
 
 
 def node_of(members, order=lambda xs: xs) -> Node:
@@ -92,8 +103,8 @@ _SMALL_PAIRS = _subsets([
 
 @pytest.mark.parametrize("members", [_SMALL_TRACES[-1], _SMALL_PAIRS[-1]], ids=["traces", "pairs"])
 def test_language_writes_out_the_set_a_node_was_built_from(members):
-    assert frozenset(language(node_of(members))) == members
-    assert frozenset(language(EMPTY)) == frozenset()
+    assert written(node_of(members)) == members
+    assert written(EMPTY) == frozenset()
 
 
 @settings(max_examples=200, deadline=None)
@@ -101,7 +112,44 @@ def test_language_writes_out_the_set_a_node_was_built_from(members):
 def test_a_set_is_one_node_whatever_the_insertion_order(members):
     forward = node_of(members, sorted)
     assert node_of(members, lambda xs: sorted(xs, reverse=True)) is forward
-    assert frozenset(language(forward)) == members
+    assert written(forward) == members
+
+
+def _terms(kind: str):
+    return st.builds(lambda seed, depth: gen_term(GenConfig(seed, depth, ("a", "b"), kind)),
+                     st.integers(0, 2**32), st.integers(1, 4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_terms("std"), _terms("comp")))
+def test_language_streams_the_nodes_of_drawn_terms_in_order(term):
+    for node in (trace_node(term), derived_node(term)):
+        written(node)
+
+
+def test_language_streams_the_nodes_of_small_terms_in_order():
+    for term in chain(enumerate_terms(2, ("a", "b")), enumerate_terms(1, ("a", "b"), "comp")):
+        written(trace_node(term))
+
+
+def test_the_empty_node_yields_nothing():
+    assert list(language(EMPTY)) == []
+
+
+def test_long_traces_stream_without_recursion():
+    # The walk holds an explicit stack: one frame per event would pass the
+    # default recursion limit on both.
+    events = [f"e{i}" for i in range(5000)]
+    node = mk(frozenset((_TICK,)))
+    for event in reversed(events):
+        node = mk(frozenset(), ((event, node),))
+    assert list(language(node)) == [Trace(events, _TICK)]
+    tree = "a"
+    for _ in range(10):
+        tree = f"({tree} ; {tree})"  # the balanced tree of 1 024 events
+    members = written(trace_node(parse_standard(f"{tree} || b")))
+    assert members == {Trace(("a",) * k + ("b",) + ("a",) * (1024 - k), _TICK)
+                       for k in range(1025)}
 
 
 @pytest.mark.parametrize("ctor", list(_STANDARD), ids=lambda c: c.__name__)
@@ -109,7 +157,7 @@ def test_every_standard_clause_computes_its_set_operator_on_small_sets(ctor):
     op, lift = CLAUSES[ctor], _STANDARD[ctor]
     nodes = {s: node_of(s) for s in _SMALL_TRACES}
     for ps, qs in product(_SMALL_TRACES, repeat=2):
-        assert frozenset(language(op(nodes[ps], nodes[qs]))) == lift(ps, qs), (ps, qs)
+        assert written(op(nodes[ps], nodes[qs])) == lift(ps, qs), (ps, qs)
 
 
 @pytest.mark.parametrize("ctor", list(_COMPENSABLE), ids=lambda c: c.__name__)
@@ -117,32 +165,32 @@ def test_every_compensable_clause_computes_its_set_operator_on_small_sets(ctor):
     op, lift = CLAUSES[ctor], _COMPENSABLE[ctor]
     nodes = {s: node_of(s) for s in _SMALL_PAIRS}
     for ps, qs in product(_SMALL_PAIRS, repeat=2):
-        assert frozenset(language(op(nodes[ps], nodes[qs]))) == lift(ps, qs), (ps, qs)
+        assert written(op(nodes[ps], nodes[qs])) == lift(ps, qs), (ps, qs)
 
 
 def test_the_block_clause_computes_its_set_operator_on_small_sets():
     for pairs in _SMALL_PAIRS:
-        assert frozenset(language(CLAUSES[Block](node_of(pairs)))) == lift_block(pairs)
+        assert written(CLAUSES[Block](node_of(pairs))) == lift_block(pairs)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(list(_STANDARD)), _trace_sets, _trace_sets)
 def test_every_standard_clause_computes_its_set_operator(ctor, ps, qs):
     out = CLAUSES[ctor](node_of(ps), node_of(qs))
-    assert frozenset(language(out)) == _STANDARD[ctor](ps, qs)
+    assert written(out) == _STANDARD[ctor](ps, qs)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(list(_COMPENSABLE)), _pair_sets, _pair_sets)
 def test_every_compensable_clause_computes_its_set_operator(ctor, ps, qs):
     out = CLAUSES[ctor](node_of(ps), node_of(qs))
-    assert frozenset(language(out)) == _COMPENSABLE[ctor](ps, qs)
+    assert written(out) == _COMPENSABLE[ctor](ps, qs)
 
 
 @settings(max_examples=150, deadline=None)
 @given(_pair_sets)
 def test_the_block_clause_computes_its_set_operator(pairs):
-    assert frozenset(language(CLAUSES[Block](node_of(pairs)))) == lift_block(pairs)
+    assert written(CLAUSES[Block](node_of(pairs))) == lift_block(pairs)
 
 
 def test_mk_never_stores_an_edge_to_the_empty_node():
@@ -157,7 +205,7 @@ def test_mk_never_stores_an_edge_to_the_empty_node():
                        TracePair(Trace(("a",), _YIELD), Trace((), _TICK))})
     block = CLAUSES[Block](node_of(pairs))
     assert block is mk(ticks) and block.edges == ()
-    assert frozenset(language(block)) == lift_block(pairs)
+    assert written(block) == lift_block(pairs)
 
 
 def _reachable(node: Node):
@@ -192,6 +240,7 @@ def test_nodes_refuse_what_is_not_a_node():
     with pytest.raises(AttributeError, match="immutable"):
         EMPTY.edges = ()
     for call in (lambda: union(EMPTY, "a"), lambda: next(language(frozenset())),
+                 lambda: ends_in(frozenset(), frozenset()), lambda: ends_in(EMPTY, {_TICK}),
                  lambda: mk(frozenset(("*",))), lambda: mk(frozenset(), (("a", "b"),)),
                  lambda: mk(((_TICK, "b"),))):
         with pytest.raises(TypeError):

@@ -2,6 +2,8 @@ import gc
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import combinations
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -13,7 +15,7 @@ from ccsp.cli import run
 from ccsp.denotational import traces_compensable, traces_standard
 from ccsp.equivalence import enumerate_terms
 from ccsp.parser import MAX_DEPTH, MAX_NESTING, parse_compensable, parse_standard
-from ccsp.terms import Terminal, by_sort_key, term_depth
+from ccsp.terms import Terminal, by_sort_key, pretty_print, term_depth
 
 
 def invoke(argv):
@@ -114,9 +116,9 @@ def test_term_too_large_to_explore_exits_one(argv, monkeypatch):
 
 @pytest.mark.parametrize(
     "argv",
-    [["check"], ["traces", "--semantics", "both"],
+    [["check"], ["traces", "--semantics", "both"], ["traces", "--format", "machine"],
      ["check", "--kind", "comp"], ["traces", "--kind", "comp", "--semantics", "both"]],
-    ids=["check", "traces", "check-comp", "traces-comp"],
+    ids=["check", "traces", "traces-machine", "check-comp", "traces-comp"],
 )
 def test_state_cap_stops_a_one_term_command_before_the_trace_semantics(argv, monkeypatch):
     # The operational walk runs first, so no trace set is built.
@@ -192,6 +194,27 @@ def test_traces_both_semantics_agree_in_output():
         out
         == "denotational:\n<a,*>\n<b,*>\noperational:\n<a,*>\n<b,*>\n"
     )
+
+
+def test_traces_of_two_9_event_chains_are_their_shuffles_in_canonical_order():
+    # 48 620 traces, streamed from both semantics' nodes in text and in the
+    # machine format: every member once, in the order of their events (all
+    # have one length and one terminal).
+    xs, ys = [f"x{i}" for i in range(9)], [f"y{i}" for i in range(9)]
+    text = f"({' ; '.join(xs)}) || ({' ; '.join(ys)})"
+    shuffles = []
+    for slots in combinations(range(18), 9):
+        left, right = iter(xs), iter(ys)
+        shuffles.append([next(left) if i in slots else next(right) for i in range(18)])
+    shuffles.sort()
+    assert len(shuffles) == comb(18, 9)
+    lines = "".join(f"<{','.join(s)},*>\n" for s in shuffles)
+    both = ["traces", "--semantics", "both", text]
+    assert invoke(both) == (0, f"denotational:\n{lines}operational:\n{lines}", "")
+    tokens = [[*s, "*"] for s in shuffles]
+    record = {"command": "traces", "kind": "std", "term": pretty_print(parse_standard(text)),
+              "sets": {"denotational": tokens, "operational": tokens}}
+    assert invoke([*both, "--format", "machine"]) == (0, json.dumps(record, sort_keys=True) + "\n", "")
 
 
 def test_traces_alphabet_violation_is_usage_error():

@@ -1,5 +1,7 @@
 import pytest
 
+from ccsp import warehouse
+from ccsp.automata import mk
 from ccsp.denotational import traces_standard
 from ccsp.operational import derived_traces_standard
 from ccsp.terms import Terminal, trace, validate_user_term
@@ -61,6 +63,20 @@ def test_warehouse_report_is_green():
     report = warehouse_report()
     assert report.ok
     assert [passed for _, passed, _ in report.checks] == [True] * 5
+
+
+def test_warehouse_report_lists_the_traces_in_canonical_order():
+    assert list(warehouse_report().traces) == sorted(traces_standard(warehouse_term()))
+
+
+def test_warehouse_report_counts_both_sets_when_the_semantics_disagree(monkeypatch):
+    # Agreement is node identity; on a disagreement the derived set is
+    # still counted, from its own node.
+    monkeypatch.setattr(warehouse, "trace_node", lambda term: mk(frozenset((Terminal.TICK,))))
+    report = warehouse_report()
+    assert report.traces == (trace("*"),)
+    assert report.checks[0] == ("semantics agree", False, "420 derived traces, 1 compositional traces")
+    assert not report.ok
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,5 @@
 """Print the acceptance table: exit code, wall time and peak RSS of the
-seven acceptance workloads.
+nine acceptance workloads.
 
     python3 tools/acceptance.py [CHECKOUT ...] [--runs N]
 
@@ -15,7 +15,7 @@ compared on the same machine.  `--runs N` makes N rounds; the table then
 gives each figure's range over them.  Below the table, each checkout's
 `src/` line count (newlines in its `*.py` files, as `wc -l` counts them),
 per module and in total.  An argv longer than 120 characters (the tree
-row's) is cut short in the table.
+rows') is cut short in the table.
 Runs are one at a time, so the table needs about one minute per round and
 checkout.  Standard library only; not a Tier-1 test.
 """
@@ -58,6 +58,11 @@ WORKLOADS = {
     "chains": ("three chains of 7, 7 and 3 events in parallel (2 333 760 traces)",
                ["check", "(a ; b ; c ; d ; e ; f ; g) || (h ; i ; j ; k ; l ; m ; n)"
                          " || (o ; p ; q)"]),
+    "traces": ("every trace of two 9-event chains in parallel (48 620), from both semantics",
+               ["traces", "--semantics", "both", "(x0 ; x1 ; x2 ; x3 ; x4 ; x5 ; x6 ; x7 ; x8)"
+                " || (y0 ; y1 ; y2 ; y3 ; y4 ; y5 ; y6 ; y7 ; y8)"]),
+    "tree traces": ("every trace of the 1 024-event tree beside b, from both semantics",
+                    ["traces", "--semantics", "both", f"{_tree(1024)} || b"]),
 }
 
 #: Runs in the child: one `cli.run` call, then its figures as one JSON line.
